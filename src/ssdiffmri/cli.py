@@ -110,6 +110,27 @@ def _load_undersampled(path):
     return meta, manifest, sens, slices
 
 
+# options that config.json files of earlier runs still carry; each is
+# accepted only at the one value it may take now
+_RETIRED_OPTIONS = {"dc_mode": "measured_outside",
+                    "rho_convention": "fraction_of_acquired"}
+
+
+def _config_from_dict(values, source, base=None):
+    """TrainConfig from a JSON mapping read from `source`, laid over `base`."""
+    if not isinstance(values, dict):
+        raise RuntimeError(f"{source}: expected a JSON object of TrainConfig fields")
+    values = {**(base or {}), **values}
+    for key, only in _RETIRED_OPTIONS.items():
+        if key in values and values.pop(key) != only:
+            raise RuntimeError(f"{source}: {key} is no longer configurable "
+                               f"(only {only!r} is supported)")
+    try:
+        return TrainConfig(**values)
+    except TypeError as exc:
+        raise RuntimeError(f"{source}: {exc}") from exc
+
+
 def _train_config_from_args(args, meta):
     cfg = TrainConfig(R=meta["R"], rho=args.rho, lr=args.lr,
                       batch_size=args.batch_size, epochs=args.epochs,
@@ -119,8 +140,7 @@ def _train_config_from_args(args, meta):
                       max_steps=args.max_steps, t_start=args.t_start)
     if args.config:
         with open(args.config) as f:
-            overrides = json.load(f)
-        cfg = TrainConfig(**{**cfg.to_dict(), **overrides})
+            cfg = _config_from_dict(json.load(f), args.config, base=cfg.to_dict())
     return cfg
 
 
@@ -169,8 +189,9 @@ def cmd_train(args):
 
 
 def _load_models_for_recon(run_dir):
-    with open(os.path.join(run_dir, "config.json")) as f:
-        cfg = TrainConfig(**json.load(f))
+    path = os.path.join(run_dir, "config.json")
+    with open(path) as f:
+        cfg = _config_from_dict(json.load(f), path)
     den, disc = build_models(cfg)
     ckpt = os.path.join(run_dir, "checkpoints", "final")
     load_state(den.state, ckpt, "denoiser")
@@ -215,14 +236,23 @@ def cmd_zerofill(args):
     return 0
 
 
+def _read_recons(recon_dir, n_slices):
+    """Recons of truth slices 0..n_slices-1, paired by the slice id in
+    their file names; a file or an id without a partner is an error."""
+    folder = os.path.join(recon_dir, "recons")
+    names = [f"slice_{i:04d}.cksp" for i in range(n_slices)]
+    present = set(os.listdir(folder))
+    stray = sorted(present - set(names))
+    missing = [i for i, name in enumerate(names) if name not in present]
+    if stray or missing:
+        raise RuntimeError(f"{folder}: files without a truth slice {stray}, "
+                           f"truth slice ids without a recon {missing}")
+    return [tensorio.read_tensor(os.path.join(folder, name)) for name in names]
+
+
 def cmd_eval(args):
     manifest, _ = _load_dataset(args.truth)
-    recon_files = sorted(os.listdir(os.path.join(args.recon, "recons")))
-    if len(recon_files) != len(manifest.slices):
-        raise RuntimeError(
-            f"{len(recon_files)} recons for {len(manifest.slices)} truth slices")
-    recons = [tensorio.read_tensor(os.path.join(args.recon, "recons", f))
-              for f in recon_files]
+    recons = _read_recons(args.recon, len(manifest.slices))
     truths = [tensorio.read_tensor(os.path.join(args.truth, rel))
               for rel in manifest.slices]
     report = evaluate_run(recons, truths, method=args.method,
@@ -308,9 +338,7 @@ def cmd_sweep(args):
             cmd_recon(sub_args(data=os.path.join(sub, "undersampled"),
                                run=os.path.join(sub, "run"),
                                out=os.path.join(sub, "recon")))
-            recfiles = sorted(os.listdir(os.path.join(sub, "recon", "recons")))
-            recons = [tensorio.read_tensor(os.path.join(sub, "recon", "recons", f))
-                      for f in recfiles]
+            recons = _read_recons(os.path.join(sub, "recon"), len(truths))
             report = evaluate_run(recons, truths, method=tag,
                                   n_boot=args.n_boot, seed=args.seed)
             for i in range(len(recons)):
@@ -421,9 +449,11 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "stats" and len(args.reports) < 2:
+        parser.error("stats needs at least 2 metrics.csv reports")
     try:
         return args.func(args)
-    except (RuntimeError, OSError, ValueError, FileNotFoundError) as exc:
+    except (RuntimeError, OSError, ValueError, tensorio.CkspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,9 @@ Arrays are indexed directly by the step number t in [1, T]; index 0 holds
 the conventional limits (alpha_bar_0 = 1) so t = 1 edge cases are
 well-defined. All operations act elementwise and treat the real and
 imaginary parts of complex inputs as independent channels, which the
-complex arithmetic realizes directly.
+complex arithmetic realizes directly. A step may be an integer array shaped
+to broadcast over the data, e.g. (B, 1, 1) for one step per image of a
+batch.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ class NoiseSchedule:
     sigma_q_sq: np.ndarray   # posterior variance, sigma_q_sq[t] for t >= 1
 
     def check_t(self, t, lowest=1):
-        if not lowest <= t <= self.T:
+        if np.any(np.asarray(t) < lowest) or np.any(np.asarray(t) > self.T):
             raise ValueError(f"step t={t} outside [{lowest}, {self.T}]")
 
     def to_config(self):
@@ -46,6 +48,11 @@ def make_schedule(T, beta_1=1e-4, beta_T=0.02):
     sigma_q_sq[1:] = (1 - alpha[1:]) * (1 - alpha_bar[:-1]) / (1 - alpha_bar[1:])
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
                          sigma_q_sq=sigma_q_sq)
+
+
+def _check_order(s, t):
+    if not np.all((0 <= np.asarray(s)) & (np.asarray(s) < t)):
+        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
 
 
 def _check_shapes(a, b, what):
@@ -76,8 +83,7 @@ def sample_forward_jump(y_s, s, t, eps, sched):
     ``y_t = sqrt(abar_t/abar_s) y_s + sqrt(1 - abar_t/abar_s) eps``.
     """
     sched.check_t(t)
-    if not 0 <= s < t:
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
+    _check_order(s, t)
     _check_shapes(y_s, eps, "sample_forward_jump")
     a_eff = sched.alpha_bar[t] / sched.alpha_bar[s]
     return np.sqrt(a_eff) * np.asarray(y_s) + np.sqrt(1.0 - a_eff) * np.asarray(eps)
@@ -93,8 +99,7 @@ def posterior_params_strided(y_t, y0, t, s, sched):
     single-step denoising posterior.
     """
     sched.check_t(t)
-    if not 0 <= s < t:
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
+    _check_order(s, t)
     _check_shapes(y_t, y0, "posterior")
     ab_t = sched.alpha_bar[t]
     ab_s = sched.alpha_bar[s]

@@ -1,33 +1,59 @@
-"""Centered orthonormal 2-D Fourier operators and the masked encoding operator.
+"""Centered orthonormal 2-D Fourier operators and the coil encoding operator.
 
-The encoding operator maps an image to per-coil masked k-space:
-per coil c, ``mask * fft2c(S_c * x)``. Its adjoint combines coil k-space
-back into an image with conjugate sensitivities. With orthonormal FFT
-scaling the adjoint equals the inverse on a full mask, which keeps the
-operator tests exact.
+The encoding operator A maps images ``(..., H, W)`` to coil k-space
+``(..., coils, H, W)``: ``A x = mask * fft2c(S * x)``. Its adjoint
+``A^H y = sum_c conj(S_c) * ifft2c(mask * y_c)`` combines coil k-space back
+into images. The column mask broadcasts over the trailing axis, so one
+``(W,)`` mask serves a single slice and a stacked ``(B, 1, 1, W)`` mask
+gives every slice of a batch its own. With orthonormal FFT scaling the
+adjoint equals the inverse on a full mask, which keeps the operator tests
+exact. These two functions are the only code that pairs the sensitivities
+with an FFT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import SamplingMask, apply_mask
+from .masks import SamplingMask
+
+_AXES = (-2, -1)
 
 
 def fft2c(img):
-    """Centered, orthonormally scaled 2-D DFT (DC at the array center)."""
+    """Centered, orthonormally scaled 2-D DFT over the trailing two axes."""
     img = np.asarray(img)
-    if img.ndim != 2:
-        raise ValueError(f"fft2c expects a 2-D array, got shape {img.shape}")
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img), norm="ortho"))
+    if img.ndim < 2:
+        raise ValueError(f"fft2c expects at least 2 axes, got shape {img.shape}")
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img, axes=_AXES), norm="ortho"),
+                           axes=_AXES)
 
 
 def ifft2c(ks):
     """Exact inverse of :func:`fft2c` under the same scaling."""
     ks = np.asarray(ks)
-    if ks.ndim != 2:
-        raise ValueError(f"ifft2c expects a 2-D array, got shape {ks.shape}")
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(ks), norm="ortho"))
+    if ks.ndim < 2:
+        raise ValueError(f"ifft2c expects at least 2 axes, got shape {ks.shape}")
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(ks, axes=_AXES), norm="ortho"),
+                           axes=_AXES)
+
+
+def forward_op(x, sens, cols=None):
+    """A: images (..., H, W) to coil k-space (..., coils, H, W), zero outside
+    the sampled columns ``cols`` (a boolean column mask; None keeps all)."""
+    ks = fft2c(sens * np.asarray(x)[..., None, :, :])
+    return ks if cols is None else np.where(cols, ks, 0)
+
+
+def adjoint_op(y, sens, cols=None):
+    """A^H: coil k-space (..., coils, H, W) to images (..., H, W).
+
+    The coil sum starts from zero and adds the coils in order, so its
+    rounding matches a sequential per-coil accumulation.
+    """
+    if cols is not None:
+        y = np.where(cols, y, 0)
+    return np.sum(np.conj(sens) * ifft2c(y), axis=-3, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -57,30 +83,19 @@ class EncodingOperator:
 
 
 def encode(x, op):
-    """Forward encoding: per-coil masked k-space of an image."""
+    """Forward encoding: masked coil k-space of one image or a stack."""
     x = np.asarray(x)
-    if x.shape != (op.rows, op.cols):
+    if x.shape[-2:] != (op.rows, op.cols):
         raise ValueError(f"image shape {x.shape} does not match operator")
-    out = np.empty((op.n_coils, op.rows, op.cols), dtype=np.complex128)
-    for c in range(op.n_coils):
-        out[c] = fft2c(op.sens[c] * x)
-    return apply_mask(out, op.mask)
+    return forward_op(x, op.sens, op.mask.sampled)
 
 
 def encode_adjoint(y, op):
-    """Adjoint encoding: sum_c conj(S_c) * ifft2c(mask * y_c).
-
-    Coil sum runs in fixed order so parallel callers see identical
-    reductions.
-    """
+    """Adjoint encoding: sum_c conj(S_c) * ifft2c(mask * y_c)."""
     y = np.asarray(y)
-    if y.shape != (op.n_coils, op.rows, op.cols):
+    if y.shape[-3:] != (op.n_coils, op.rows, op.cols):
         raise ValueError(f"k-space shape {y.shape} does not match operator")
-    ym = apply_mask(y, op.mask)
-    out = np.zeros((op.rows, op.cols), dtype=np.complex128)
-    for c in range(op.n_coils):
-        out += np.conj(op.sens[c]) * ifft2c(ym[c])
-    return out
+    return adjoint_op(y, op.sens, op.mask.sampled)
 
 
 def zero_filled(y, op):

@@ -77,13 +77,9 @@ def recon_loss_masked(eps_true, eps_pred, loss_mask, t, sched):
     if len(cols) == 0:
         raise ValueError("loss mask has no sampled columns")
 
-    diff = eps_true - eps_pred
-    flat = diff.reshape(-1, diff.shape[-2], diff.shape[-1])
-    total = 0.0
-    for sl in flat:
-        d = fft2c(sl)[:, cols]
-        total += float(np.sum(np.abs(d) ** 2))
-    n_kept = flat.shape[0] * flat.shape[1] * len(cols)
+    d = fft2c(eps_true - eps_pred)[..., cols]
+    total = float(np.sum(np.abs(d) ** 2))
+    n_kept = d.size
     return loss_weight(t, sched) * total / n_kept
 
 

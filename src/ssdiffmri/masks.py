@@ -2,9 +2,10 @@
 
 A mask samples phase-encode columns: a contiguous fully-sampled center
 block plus randomly selected outer columns. An acquired mask can be split
-into a train mask and a loss mask that share only the center block; the
-split ratio rho controls how many outer columns feed the model versus the
-loss.
+into a train mask and a loss mask that share only the center block; rho is
+the fraction of the outer sampled columns that goes to the train mask.
+Masks act on the trailing k-space axis, and :func:`stack_columns` stacks
+per-slice masks so they broadcast over a (batch, coils, rows, cols) array.
 """
 
 import json
@@ -139,13 +140,11 @@ def make_random_mask(width, R, center_fraction=0.04, seed=0):
     return SamplingMask(width, sampled, (lo, hi))
 
 
-def partition_mask(acquired, rho, seed=0, convention="fraction_of_acquired"):
+def partition_mask(acquired, rho, seed=0):
     """Split an acquired mask into train/loss masks sharing only the center.
 
-    With the default convention a fraction ``rho`` of the outer sampled
-    columns goes to the train mask and the rest to the loss mask. The
-    alternative convention ``"train_to_loss"`` reads rho as the ratio
-    |train| / |loss| over the outer columns.
+    A fraction ``rho`` of the outer sampled columns goes to the train mask
+    and the rest to the loss mask.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
@@ -153,14 +152,7 @@ def partition_mask(acquired, rho, seed=0, convention="fraction_of_acquired"):
     n = len(outer)
     if n == 0:
         raise ValueError("mask has no sampled columns outside the center")
-
-    if convention == "fraction_of_acquired":
-        n_train = int(round(rho * n))
-    elif convention == "train_to_loss":
-        n_train = int(round(n * rho / (1.0 + rho)))
-    else:
-        raise ValueError(f"unknown rho convention {convention!r}")
-    n_train = min(max(n_train, 0), n)
+    n_train = int(round(rho * n))
 
     rng = np.random.default_rng(seed)
     chosen = rng.permutation(n)[:n_train]
@@ -196,3 +188,9 @@ def apply_mask(ks, mask):
             f"trailing extent {ks.shape[-1]} does not match mask width {mask.width}"
         )
     return np.where(mask.sampled, ks, 0)
+
+
+def stack_columns(masks):
+    """Sampled columns of per-slice masks as a (B, 1, 1, width) boolean
+    array that broadcasts over (B, coils, rows, cols) k-space."""
+    return np.stack([m.sampled for m in masks])[:, None, None, :]

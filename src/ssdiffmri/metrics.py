@@ -2,8 +2,7 @@
 
 Complex images are compared on their magnitudes. SSIM uses a Gaussian
 11x11 window (sigma 1.5) over the valid interior, with the stabilizing
-constants squared by default; ``squared_constants=False`` keeps them
-linear for compatibility with the unsquared convention.
+constants ``(0.01 * peak)^2`` and ``(0.03 * peak)^2``.
 """
 
 import numpy as np
@@ -55,7 +54,7 @@ def _window_means(img, window):
     return np.einsum("hwij,ij->hw", win, window)
 
 
-def ssim(y, y_hat, squared_constants=True):
+def ssim(y, y_hat):
     """Mean structural similarity over Gaussian-weighted sliding windows."""
     ym, yhm = _magnitudes(y, y_hat)
     if ym.ndim != 2:
@@ -65,10 +64,8 @@ def ssim(y, y_hat, squared_constants=True):
             f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for ssim"
         )
     peak = float(ym.max())
-    c1 = 0.01 * peak
-    c2 = 0.03 * peak
-    if squared_constants:
-        c1, c2 = c1**2, c2**2
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
 
     w = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     mu_y = _window_means(ym, w)

@@ -136,11 +136,15 @@ class _Conv3x3:
         if accumulate:
             self.state.view(f"{self.name}.w", "grads")[...] += cols.T @ gmat
             self.state.view(f"{self.name}.b", "grads")[...] += gmat.sum(axis=0)
-        dcols = (gmat @ self.state.view(f"{self.name}.w").T).reshape(B, H, W, 3, 3, C)
+        # column gradients tap-major, (3, 3, B, H, W, C): one GEMM per tap
+        # against that tap's (C, cout) weight rows, so every tap's scatter
+        # below adds a contiguous image instead of a C-wide strided slice
+        w_taps = self.state.view(f"{self.name}.w").reshape(9, C, self.cout)
+        dcols = np.matmul(gmat, w_taps.transpose(0, 2, 1)).reshape(3, 3, B, H, W, C)
         dxp = np.zeros((B, H + 2, W + 2, C), dtype=g.dtype)
         for i in range(3):
             for j in range(3):
-                dxp[:, i:i + H, j:j + W, :] += dcols[:, :, :, i, j, :]
+                dxp[:, i:i + H, j:j + W, :] += dcols[i, j]
         return dxp[:, 1:H + 1, 1:W + 1, :]
 
     @staticmethod
@@ -234,14 +238,12 @@ class DenoiserSpec:
     """
 
     channels: tuple = (5, 32, 32, 32, 32, 2)
-    kernel: int = 3
-    residual: bool = True
 
     @property
     def param_count(self):
         total = 0
         for cin, cout in zip(self.channels[:-1], self.channels[1:]):
-            total += self.kernel * self.kernel * cin * cout + cout
+            total += 9 * cin * cout + cout
         return total
 
 
@@ -252,15 +254,13 @@ class DiscriminatorSpec:
     in_channels: int = 4
     width: int = 16
     n_layers: int = 4
-    kernel: int = 3
-    padding: int = 1
 
     @property
     def param_count(self):
         total = 0
         cin = self.in_channels
         for _ in range(self.n_layers):
-            total += self.kernel * self.kernel * cin * self.width + self.width
+            total += 9 * cin * self.width + self.width
             total += 2 * self.width  # batch norm gamma/beta
             cin = self.width
         return total + self.width + 1  # scalar head
@@ -274,8 +274,6 @@ class Denoiser:
     """
 
     def __init__(self, spec, seed=0, dtype=np.float64):
-        if spec.kernel != 3:
-            raise ValueError("only 3x3 kernels are implemented")
         self.spec = spec
         self.dtype = dtype
         rng = np.random.default_rng(seed)
@@ -315,24 +313,21 @@ class Denoiser:
             h = conv.forward(h, keep_cache)
             if i < len(self.relus):
                 h = self.relus[i].forward(h, keep_cache)
-        out = h + y_t if self.spec.residual else h
         self._cached = keep_cache
-        return out
+        return h + y_t
 
     def backward(self, upstream):
         """Accumulate parameter gradients; returns the gradient w.r.t. the
         assembled input channels."""
         if not self._cached:
             raise RuntimeError("denoiser backward without cached forward")
-        g = np.asarray(upstream, dtype=self.dtype)
-        res = g if self.spec.residual else None
+        res = g = np.asarray(upstream, dtype=self.dtype)
         for i in reversed(range(len(self.convs))):
             if i < len(self.relus):
                 g = self.relus[i].backward(g)
             g = self.convs[i].backward(g)
-        if res is not None:
-            g = g.copy()
-            g[..., :2] += res
+        g = g.copy()
+        g[..., :2] += res
         return g
 
 

@@ -2,9 +2,14 @@
 
 Training never lets the model see the loss-mask columns: the model input
 path is built from the train-mask data only, while the measured loss-mask
-columns enter through the loss target. Inference runs the reverse grid from
-a partially noised zero-filled image, applying data consistency with the
-full acquired mask at every step.
+columns enter through the loss target. The training loss is the k-space
+residual of the prediction on the loss columns, ``M_loss (A y0 - y)``,
+with A the coil encoding operator of :mod:`kspace`. A training step runs
+on the whole batch at once, each slice with its own masks. Data
+consistency keeps the measured values at acquired columns and the
+prediction elsewhere. Inference runs the reverse grid from a partially
+noised zero-filled image, applying data consistency with the full acquired
+mask at every step.
 """
 
 import time
@@ -14,9 +19,9 @@ import numpy as np
 
 from .diffusion import (loss_weight, make_schedule, posterior_params_strided,
                         sample_forward_jump, sample_yt)
-from .kspace import EncodingOperator, fft2c, ifft2c, zero_filled
-from .losses import LossReport, disc_loss, gen_loss, recon_loss_masked, total_loss
-from .masks import SamplingMask, apply_mask, partition_mask
+from .kspace import EncodingOperator, adjoint_op, forward_op, zero_filled
+from .losses import LossReport, disc_loss, gen_loss, total_loss
+from .masks import SamplingMask, partition_mask, stack_columns
 from .metrics import nmse, psnr, ssim
 from .nets import Denoiser, DenoiserSpec, Discriminator, DiscriminatorSpec, adam_step
 from .stats import MetricReport
@@ -55,8 +60,6 @@ class TrainConfig:
     dtype: str = "float32"
     t_start: int = 0                 # 0 means T // 4
     max_steps: int = 0               # 0 means no cap
-    rho_convention: str = "fraction_of_acquired"
-    dc_mode: str = "measured_outside"
     checkpoint_every: int = 500
 
     def __post_init__(self):
@@ -114,82 +117,60 @@ def build_models(cfg, n_cond_channels=2):
             Discriminator(disc_spec, seed=cfg.seed + 1, dtype=dtype))
 
 
-def dc_project_kspace(pred_img, measured_ks, sens, mask, mode="measured_outside"):
-    """Per-coil k-space of the prediction with measured columns swapped in.
+def _columns(mask):
+    """Boolean column mask of a SamplingMask, or of a list of per-slice
+    masks stacked to broadcast over a batch."""
+    return mask.sampled if isinstance(mask, SamplingMask) else stack_columns(mask)
 
-    ``"measured_outside"`` keeps the measured values at acquired columns and
-    the prediction elsewhere; ``"literal"`` is the inverted assignment
-    (prediction at acquired columns) retained for comparison.
+
+def dc_project_kspace(pred_img, measured_ks, sens, mask):
+    """Coil k-space of the prediction with the measured columns swapped in.
+
+    `mask` is one SamplingMask, or a list of them for a batch of
+    predictions (B, H, W) with measurements (B, coils, H, W).
     """
-    coils = sens.shape[0]
-    out = np.empty((coils,) + pred_img.shape, dtype=np.complex128)
-    keep_pred = ~mask.sampled if mode == "measured_outside" else mask.sampled
-    for c in range(coils):
-        pk = fft2c(sens[c] * pred_img)
-        out[c] = np.where(keep_pred, pk, measured_ks[c])
-    return out
+    return np.where(_columns(mask), measured_ks, forward_op(pred_img, sens))
 
 
-def dc_project(pred_img, measured_ks, sens, mask, mode="measured_outside"):
-    """Data-consistency projection returned as a coil-combined image."""
+def dc_project(pred_img, measured_ks, sens, mask):
+    """Data-consistency projection returned as coil-combined images."""
     pred_img = np.asarray(pred_img)
     measured_ks = np.asarray(measured_ks)
-    if measured_ks.shape != (sens.shape[0],) + pred_img.shape:
+    expect = pred_img.shape[:-2] + (sens.shape[0],) + pred_img.shape[-2:]
+    if measured_ks.shape != expect:
         raise ValueError("measured k-space shape does not match sens/prediction")
-    ks = dc_project_kspace(pred_img, measured_ks, sens, mask, mode)
-    out = np.zeros(pred_img.shape, dtype=np.complex128)
-    for c in range(sens.shape[0]):
-        out += np.conj(sens[c]) * ifft2c(ks[c])
-    return out
+    return adjoint_op(dc_project_kspace(pred_img, measured_ks, sens, mask), sens)
 
 
-def dc_backward(grad_img, sens, mask, mode="measured_outside"):
+def dc_backward(grad_img, sens, mask):
     """Adjoint of the linear part of the DC projection.
 
     The projection is affine in the prediction with a self-adjoint linear
-    part (complement-mask normal operator), so the backward pass applies the
-    same operator to the upstream gradient.
+    part, the normal operator A^H A of the complement mask, so the backward
+    pass applies that operator to the upstream gradient.
     """
-    keep_pred = ~mask.sampled if mode == "measured_outside" else mask.sampled
-    out = np.zeros(grad_img.shape, dtype=np.complex128)
-    for c in range(sens.shape[0]):
-        pk = fft2c(sens[c] * grad_img)
-        out += np.conj(sens[c]) * ifft2c(np.where(keep_pred, pk, 0.0))
-    return out
+    outside = ~_columns(mask)
+    return adjoint_op(forward_op(grad_img, sens, outside), sens)
 
 
-def _loss_noise_pair(y_t, y0_in, y0_pred, eps, measured_ks, sens, t, sched):
-    """Coil-stacked noise tensors whose loss-mask k-space difference is the
-    measured-data residual of the prediction.
+def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_mask, t, sched):
+    """Loss-column k-space residual loss and its gradient w.r.t. the prediction.
 
-    The true-noise target is built so that at the loss columns it encodes
-    the acquired measurement rather than the (zero there) train-mask input;
-    everywhere else it matches the prediction-side tensor exactly.
+    With ``r = M_loss (A y0_pred - y)``, the loss of each slice is
+    ``w(t) abar_t / (1 - abar_t) ||r||^2 / n_kept``, which equals the
+    noise-prediction loss ``recon_loss_masked`` of the loss columns (the
+    noise and y_t cancel), and its gradient is
+    ``2 w(t) abar_t / (1 - abar_t) / n_kept * A^H r``. For one slice `t` is
+    a scalar and `loss_mask` a SamplingMask; for a batch `t` is (B, 1, 1)
+    and `loss_mask` a list of masks. The loss has the shape of `t`.
     """
+    cols = _columns(loss_mask)
     ab = sched.alpha_bar[t]
-    coef = np.sqrt(ab) / np.sqrt(1.0 - ab)
-    coils = sens.shape[0]
-    shape = (coils,) + y_t.shape
-    eps_pred = np.empty(shape, np.complex128)
-    eps_true = np.empty(shape, np.complex128)
-    pred_part = (y_t - np.sqrt(ab) * y0_pred) / np.sqrt(1.0 - ab)
-    for c in range(coils):
-        eps_pred[c] = sens[c] * pred_part
-        eps_true[c] = sens[c] * (eps + coef * y0_in) - coef * ifft2c(measured_ks[c])
-    return eps_true, eps_pred
-
-
-def _recon_grad_wrt_pred(y0_pred, measured_ks, sens, loss_mask, t, sched, n_kept):
-    """Gradient of the restricted noise loss w.r.t. the predicted image."""
-    ab = sched.alpha_bar[t]
-    coef_sq = ab / (1.0 - ab)
-    w = loss_weight(t, sched)
-    cols = loss_mask.sampled
-    g = np.zeros(y0_pred.shape, np.complex128)
-    for c in range(sens.shape[0]):
-        resid = np.where(cols, fft2c(sens[c] * y0_pred) - measured_ks[c], 0.0)
-        g += np.conj(sens[c]) * ifft2c(resid)
-    return (2.0 * w * coef_sq / n_kept) * g
+    n_kept = sens.shape[0] * sens.shape[1] * np.count_nonzero(cols, axis=-1)
+    scale = 2.0 * loss_weight(t, sched) * (ab / (1.0 - ab)) / n_kept
+    r = forward_op(y0_pred, sens, cols) - np.where(cols, measured_ks, 0)
+    sq = np.reshape(np.sum(np.abs(r) ** 2, axis=(-3, -2, -1)), np.shape(t))
+    return 0.5 * scale * sq, scale * adjoint_op(r, sens)
 
 
 class Trainer:
@@ -207,66 +188,57 @@ class Trainer:
         return np.random.default_rng([self.cfg.seed & 0x7FFFFFFF, *tags])
 
     def train_step(self, batch):
-        """One discriminator + generator update over a batch of slices."""
+        """One discriminator + generator update over a batch of slices.
+
+        Each slice draws its partition seed, step t, and noise from its own
+        stream ``[seed, 1, slice_id, step]`` (and the posterior noise from
+        ``[seed, 2, slice_id, step]``); everything after the draws runs on
+        the whole batch at once.
+        """
         cfg, sched, sens = self.cfg, self.sched, self.sens
         grid = cfg.train_grid
         step = self.global_step
         B = len(batch)
         k = cfg.stride_k
+        shape = sens.shape[1:]
 
-        parts, t_list = [], []
-        y0_in_l, cond_l, y_t_l, y_tk_l, eps_l = [], [], [], [], []
+        parts, t_list, eps, eps2, z = [], [], [], [], []
         for item in batch:
             rng = self._rng(1, item.slice_id, step)
-            part = partition_mask(item.acquired, cfg.rho,
-                                  seed=int(rng.integers(2**31)),
-                                  convention=cfg.rho_convention)
-            ks_train = apply_mask(item.kspace, part.train)
-            op = EncodingOperator(sens, part.train, sens.shape[1], sens.shape[2])
-            y0_in = zero_filled(ks_train, op)
-            t = int(grid[rng.integers(len(grid))])
-            shape = y0_in.shape
-            eps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            y_t = sample_yt(y0_in, t, eps, sched)
-            eps2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            y_tk = sample_forward_jump(y_t, t, t + k, eps2, sched)
-            parts.append(part)
-            t_list.append(t)
-            y0_in_l.append(y0_in)
-            cond_l.append(y0_in)
-            y_t_l.append(y_t)
-            y_tk_l.append(y_tk)
-            eps_l.append(eps)
+            parts.append(partition_mask(item.acquired, cfg.rho,
+                                        seed=int(rng.integers(2**31))))
+            t_list.append(int(grid[rng.integers(len(grid))]))
+            eps.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            eps2.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            rng = self._rng(2, item.slice_id, step)
+            z.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        t = np.array(t_list)[:, None, None]
+        train_masks = [p.train for p in parts]
+        kspace = np.stack([item.kspace for item in batch])
+        ks_train = np.where(stack_columns(train_masks), kspace, 0)
 
-        y_t_ch = complex_to_channels(np.stack(y_t_l))
-        y_tk_ch = complex_to_channels(np.stack(y_tk_l))
-        cond_ch = complex_to_channels(np.stack(cond_l))
-        t_frac = np.array([t / cfg.T for t in t_list])
+        y0_in = adjoint_op(ks_train, sens)
+        y_t = sample_yt(y0_in, t, np.stack(eps), sched)
+        y_tk = sample_forward_jump(y_t, t, t + k, np.stack(eps2), sched)
+        y_t_ch = complex_to_channels(y_t)
+        y_tk_ch = complex_to_channels(y_tk)
 
         # generator predicts the clean image from y_t, consistency on the
         # train mask; the later step y_{t+k} anchors the fake-sample posterior
         # and conditions the discriminator
-        pred_raw = self.denoiser.forward(y_t_ch, t_frac, cond_ch,
+        pred_raw = self.denoiser.forward(y_t_ch, t[:, 0, 0] / cfg.T,
+                                         complex_to_channels(y0_in),
                                          train=True, keep_cache=True)
         if not np.all(np.isfinite(pred_raw)):
             raise FloatingPointError(
                 f"non-finite generator output at step {step} "
                 f"(slices {[b.slice_id for b in batch]})")
         pred_c = channels_to_complex(np.asarray(pred_raw, np.float64))
-        y0_pred, y_hat_t, c_pred = [], [], []
-        for i, item in enumerate(batch):
-            y0p = dc_project(pred_c[i], apply_mask(item.kspace, parts[i].train),
-                             sens, parts[i].train, cfg.dc_mode)
-            t = t_list[i]
-            mu, var = posterior_params_strided(y_tk_l[i], y0p, t + k, t, sched)
-            rng = self._rng(2, item.slice_id, step)
-            z = rng.standard_normal(y0p.shape) + 1j * rng.standard_normal(y0p.shape)
-            y0_pred.append(y0p)
-            y_hat_t.append(mu + np.sqrt(var) * z)
-            ab_tk, ab_t = sched.alpha_bar[t + k], sched.alpha_bar[t]
-            a_eff = ab_tk / ab_t
-            c_pred.append(np.sqrt(ab_t) * (1.0 - a_eff) / (1.0 - ab_tk))
-        y_hat_ch = complex_to_channels(np.stack(y_hat_t))
+        y0_pred = dc_project(pred_c, ks_train, sens, train_masks)
+        mu, var = posterior_params_strided(y_tk, y0_pred, t + k, t, sched)
+        y_hat_ch = complex_to_channels(mu + np.sqrt(var) * np.stack(z))
+        ab_tk, ab_t = sched.alpha_bar[t + k], sched.alpha_bar[t]
+        c_pred = np.sqrt(ab_t) * (1.0 - ab_tk / ab_t) / (1.0 - ab_tk)
 
         # discriminator phase: real pair, fake pair, input-gradient penalty
         d_real = self.disc.forward(y_t_ch, y_tk_ch, train=True, keep_cache=True)
@@ -288,28 +260,18 @@ class Trainer:
             accumulate=False)[..., :2]
         g_adv = channels_to_complex(np.asarray(g_adv_ch, np.float64))
 
-        l_recon = 0.0
-        upstream = np.empty_like(pred_c)
-        for i, item in enumerate(batch):
-            t = t_list[i]
-            ks_loss = apply_mask(item.kspace, parts[i].loss)
-            eps_true, eps_pred = _loss_noise_pair(
-                y_t_l[i], y0_in_l[i], y0_pred[i], eps_l[i], ks_loss, sens, t, sched)
-            l_recon += recon_loss_masked(eps_true, eps_pred, parts[i].loss,
-                                          t, sched) / B
-            n_kept = sens.shape[0] * sens.shape[1] * len(parts[i].loss.indices())
-            g_rec = _recon_grad_wrt_pred(y0_pred[i], ks_loss, sens,
-                                         parts[i].loss, t, sched, n_kept) / B
-            g_y0 = g_rec + c_pred[i] * g_adv[i]
-            upstream[i] = dc_backward(g_y0, sens, parts[i].train, cfg.dc_mode)
-        self.denoiser.backward(complex_to_channels(upstream))
+        l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens,
+                                           [p.loss for p in parts], t, sched)
+        l_recon = float(np.sum(l_rec)) / B
+        g_y0 = g_rec / B + c_pred * g_adv
+        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, train_masks)))
         adam_step(self.denoiser.state, cfg.lr)
 
         l_final = total_loss(l_recon, l_d, l_g, cfg.adv_weight)
         if not np.isfinite(l_final):
             raise FloatingPointError(
                 f"non-finite loss at step {step}: recon={l_recon} d={l_d} g={l_g}")
-        report = LossReport(l_recon=float(l_recon), l_disc=float(l_d),
+        report = LossReport(l_recon=l_recon, l_disc=float(l_d),
                             l_gen=float(l_g), l_final=float(l_final),
                             t=t_list[0], slice_id=batch[0].slice_id, step=step)
         self.global_step += 1
@@ -372,7 +334,7 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
                                 cond_ch, train=False)
         calls += 1
         pred = channels_to_complex(np.asarray(pred_ch, np.float64))[0]
-        y0_hat = dc_project(pred, measured_ks, sens, acquired, cfg.dc_mode)
+        y0_hat = dc_project(pred, measured_ks, sens, acquired)
         s = t - cfg.stride_k if t - cfg.stride_k >= 2 else 0
         if s == 0:
             y = y0_hat
@@ -383,11 +345,8 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
         if not np.all(np.isfinite(y.real)):
             raise FloatingPointError(f"non-finite sampler state at step {t}")
 
-    final_ks = dc_project_kspace(y, measured_ks, sens, acquired, cfg.dc_mode)
-    image = np.zeros(y.shape, dtype=np.complex128)
-    for c in range(sens.shape[0]):
-        image += np.conj(sens[c]) * ifft2c(final_ks[c])
-    return ReconResult(image=image, model_calls=calls,
+    final_ks = dc_project_kspace(y, measured_ks, sens, acquired)
+    return ReconResult(image=adjoint_op(final_ks, sens), model_calls=calls,
                        wall_time=time.perf_counter() - t0,
                        config=cfg.to_dict(), final_kspace=final_ks)
 

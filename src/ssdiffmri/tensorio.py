@@ -191,15 +191,14 @@ def generate_sensitivities(n_coils, rows, cols, seed=0):
 
     phase0 = rng.uniform(0.0, 2 * np.pi)
     width = 0.9
-    maps = np.empty((n_coils, rows, cols), dtype=np.complex128)
-    for c in range(n_coils):
-        ang = phase0 + 2 * np.pi * c / n_coils
-        cx, cy = 1.1 * np.cos(ang), 1.1 * np.sin(ang)
-        d2 = (x - cx) ** 2 + (y - cy) ** 2
-        mag = np.exp(-d2 / (2 * width**2))
-        # smooth linear phase, distinct per coil
-        ph = rng.uniform(-1.0, 1.0) * x + rng.uniform(-1.0, 1.0) * y
-        maps[c] = mag * np.exp(1j * ph)
+    # one (x, y) phase slope pair per coil, drawn in coil order
+    slope = rng.uniform(-1.0, 1.0, size=(n_coils, 2, 1, 1))
+    ang = (phase0 + 2 * np.pi * np.arange(n_coils) / n_coils)[:, None, None]
+    cx, cy = 1.1 * np.cos(ang), 1.1 * np.sin(ang)
+    d2 = (x - cx) ** 2 + (y - cy) ** 2
+    mag = np.exp(-d2 / (2 * width**2))
+    # smooth linear phase, distinct per coil
+    maps = mag * np.exp(1j * (slope[:, 0] * x + slope[:, 1] * y))
 
     norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
     maps /= norm[None, :, :]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -234,6 +235,82 @@ class TestReconEvalStats:
             "\n".join(lines[:-1]).replace("whole", "part") + "\n")
         assert invoke("stats", str(ev / "whole.metrics.csv"),
                       str(ev / "partial.metrics.csv"), "--out", str(tmp_path / "s")) == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("corrupt", [lambda b: b"not a tensor", lambda b: b[:-8]],
+                             ids=["garbage", "truncated"])
+    def test_corrupt_cksp_exits_1_naming_file(self, dataset, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        target = data / "slices" / "slice_0002.cksp"
+        target.write_bytes(corrupt(target.read_bytes()))
+        assert invoke("undersample", "--data", str(data),
+                      "--out", str(tmp_path / "u")) == 1
+        assert "slice_0002.cksp" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_1_naming_key(self, undersampled, tmp_path, capsys):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"bogus_knob": 3}))
+        assert invoke("train", "--data", str(undersampled), "--config", str(path),
+                      "--out", str(tmp_path / "r"), "--max-steps", "1") == 1
+        err = capsys.readouterr().err
+        assert "bogus_knob" in err and "overrides.json" in err
+
+    def _old_run(self, trained, tmp_path, **retired):
+        run_dir = tmp_path / "old_run"
+        shutil.copytree(trained, run_dir)
+        cfg = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps({**cfg, **retired}))
+        return run_dir
+
+    def test_old_run_config_at_supported_values_reconstructs(
+            self, undersampled, trained, recon_dirs, tmp_path):
+        run_dir = self._old_run(trained, tmp_path, dc_mode="measured_outside",
+                                rho_convention="fraction_of_acquired")
+        out = tmp_path / "rec"
+        assert invoke("recon", "--data", str(undersampled), "--run", str(run_dir),
+                      "--out", str(out), "--seed", "2") == 0
+        rec, _ = recon_dirs
+        for name in os.listdir(rec / "recons"):
+            assert (out / "recons" / name).read_bytes() == (rec / "recons" / name).read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("dc_mode", "literal"),
+                                           ("rho_convention", "train_to_loss")])
+    def test_old_run_config_other_value_exits_1(self, undersampled, trained, tmp_path,
+                                                capsys, key, value):
+        run_dir = self._old_run(trained, tmp_path, **{key: value})
+        assert invoke("recon", "--data", str(undersampled), "--run", str(run_dir),
+                      "--out", str(tmp_path / "rec")) == 1
+        assert key in capsys.readouterr().err
+
+    def test_stats_single_report_exits_2(self, dataset, recon_dirs, tmp_path):
+        rec, _ = recon_dirs
+        ev = tmp_path / "ev"
+        assert invoke("eval", "--recon", str(rec), "--truth", str(dataset),
+                      "--method", "only", "--n-boot", "50", "--out", str(ev)) == 0
+        with pytest.raises(SystemExit) as exc:
+            invoke("stats", str(ev / "only.metrics.csv"), "--out", str(tmp_path / "s"))
+        assert exc.value.code == 2
+
+    def _recon_copy(self, recon_dirs, tmp_path):
+        rec = tmp_path / "rec"
+        shutil.copytree(recon_dirs[0], rec)
+        return rec
+
+    def test_eval_stray_recon_file_exits_1(self, dataset, recon_dirs, tmp_path, capsys):
+        rec = self._recon_copy(recon_dirs, tmp_path)
+        shutil.copy(rec / "recons" / "slice_0000.cksp", rec / "recons" / "slice_0099.cksp")
+        assert invoke("eval", "--recon", str(rec), "--truth", str(dataset),
+                      "--n-boot", "50", "--out", str(tmp_path / "ev")) == 1
+        assert "slice_0099.cksp" in capsys.readouterr().err
+
+    def test_eval_missing_slice_id_exits_1(self, dataset, recon_dirs, tmp_path, capsys):
+        rec = self._recon_copy(recon_dirs, tmp_path)
+        os.remove(rec / "recons" / "slice_0002.cksp")
+        assert invoke("eval", "--recon", str(rec), "--truth", str(dataset),
+                      "--n-boot", "50", "--out", str(tmp_path / "ev")) == 1
+        assert "without a recon [2]" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssdiffmri.kspace import (EncodingOperator, add_measurement_noise, encode,
-                              encode_adjoint, fft2c, ifft2c, zero_filled)
-from ssdiffmri.masks import make_random_mask
+from ssdiffmri.kspace import (EncodingOperator, add_measurement_noise, adjoint_op,
+                              encode, encode_adjoint, fft2c, forward_op, ifft2c,
+                              zero_filled)
+from ssdiffmri.masks import make_random_mask, stack_columns
 from ssdiffmri.metrics import nmse
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
 
@@ -67,7 +70,15 @@ class TestFFT:
         with pytest.raises(ValueError):
             fft2c(np.zeros(8, complex))
         with pytest.raises(ValueError):
-            ifft2c(np.zeros((2, 2, 2), complex))
+            ifft2c(np.zeros(8, complex))
+
+    def test_batched_equals_per_image(self):
+        # the trailing two axes are transformed, leading axes are a batch
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 4, 16, 12)) + 1j * rng.standard_normal((3, 4, 16, 12))
+        for fn in (fft2c, ifft2c):
+            per = np.stack([[fn(x[b, c]) for c in range(4)] for b in range(3)])
+            assert np.array_equal(fn(x), per)
 
 
 @pytest.fixture
@@ -130,6 +141,45 @@ class TestEncoding:
             encode(np.zeros((16, 16), complex), operator)
         with pytest.raises(ValueError):
             encode_adjoint(np.zeros((2, 32, 32), complex), operator)
+
+
+class TestBatchedOperator:
+    def test_per_slice_masks_match_single_slice_calls(self):
+        # a stacked (B, 1, 1, W) mask gives each slice its own columns, and
+        # the batched A and A^H equal per-slice calls bit for bit
+        rows = cols = 32
+        rng = np.random.default_rng(8)
+        sens = generate_sensitivities(4, rows, cols, seed=8)
+        masks = [make_random_mask(cols, 4, 0.06, seed=s) for s in range(3)]
+        x = rng.standard_normal((3, rows, cols)) + 1j * rng.standard_normal((3, rows, cols))
+        y = (rng.standard_normal((3, 4, rows, cols))
+             + 1j * rng.standard_normal((3, 4, rows, cols)))
+        ops = [EncodingOperator(sens, m, rows, cols) for m in masks]
+        batch_cols = stack_columns(masks)
+        assert np.array_equal(forward_op(x, sens, batch_cols),
+                              np.stack([encode(x[b], op) for b, op in enumerate(ops)]))
+        assert np.array_equal(adjoint_op(y, sens, batch_cols),
+                              np.stack([encode_adjoint(y[b], op)
+                                        for b, op in enumerate(ops)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 3), coils=st.integers(1, 4),
+           rows=st.integers(4, 16), cols=st.integers(4, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, batch, coils, rows, cols, seed):
+        # <A x, y> == <x, A^H y> on (B, coils, H, W) k-space, per-slice masks
+        rng = np.random.default_rng(seed)
+        sens = (rng.standard_normal((coils, rows, cols))
+                + 1j * rng.standard_normal((coils, rows, cols)))
+        mask = rng.random((batch, 1, 1, cols)) < 0.5
+        x = (rng.standard_normal((batch, rows, cols))
+             + 1j * rng.standard_normal((batch, rows, cols)))
+        y = (rng.standard_normal((batch, coils, rows, cols))
+             + 1j * rng.standard_normal((batch, coils, rows, cols)))
+        lhs = np.vdot(y, forward_op(x, sens, mask))
+        rhs = np.vdot(adjoint_op(y, sens, mask), x)
+        scale = np.linalg.norm(x) * np.linalg.norm(y) * np.max(np.abs(sens))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestZeroFilled:

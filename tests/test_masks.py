@@ -108,14 +108,6 @@ class TestPartition:
             for s in range(1, 101))
         assert changed >= 99
 
-    def test_train_to_loss_convention(self):
-        acquired = make_random_mask(256, 2, 0.04, seed=1)
-        n_outer = acquired.outer_indices().size
-        part = partition_mask(acquired, 0.5, seed=2, convention="train_to_loss")
-        # |train| / |loss| == rho over the outer columns
-        expect = round(n_outer * 0.5 / 1.5)
-        assert abs(part.train.outer_indices().size - expect) <= 1
-
     def test_no_outer_samples_errors(self):
         lo, hi = center_range(64, 0.1)
         sampled = np.zeros(64, bool)

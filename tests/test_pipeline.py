@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from ssdiffmri.diffusion import make_schedule
-from ssdiffmri.kspace import EncodingOperator, encode
-from ssdiffmri.masks import make_random_mask
+from ssdiffmri.diffusion import make_schedule, sample_yt
+from ssdiffmri.kspace import EncodingOperator, encode, ifft2c, zero_filled
+from ssdiffmri.losses import recon_loss_masked
+from ssdiffmri.masks import apply_mask, make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, ssim
 from ssdiffmri.nets import Denoiser
 from ssdiffmri.pipeline import (ReconResult, SliceData, TrainConfig, Trainer,
                                 build_models, channels_to_complex,
                                 complex_to_channels, dc_backward, dc_project,
-                                dc_project_kspace, evaluate_run, reconstruct)
+                                dc_project_kspace, evaluate_run,
+                                recon_loss_and_grad, reconstruct)
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
 
 
@@ -107,21 +109,6 @@ class TestDCProjection:
         twice = dc_project(once, item.kspace, sens, item.acquired)
         assert np.linalg.norm(twice - once) <= np.linalg.norm(once - pred) + 1e-12
 
-    def test_literal_mode_differs(self):
-        sens, slices, phantoms = make_fixture(coils=1)
-        rng = np.random.default_rng(5)
-        pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        item = slices[0]
-        a = dc_project(pred, item.kspace, sens, item.acquired, mode="measured_outside")
-        b = dc_project(pred, item.kspace, sens, item.acquired, mode="literal")
-        assert not np.allclose(a, b)
-        # literal mode keeps the prediction at acquired columns instead
-        ks_b = dc_project_kspace(pred, item.kspace, sens, item.acquired, mode="literal")
-        cols = item.acquired.indices()
-        op = EncodingOperator(sens, item.acquired, 32, 32)
-        np.testing.assert_allclose(ks_b[..., cols], encode(pred, op)[..., cols],
-                                   atol=1e-12)
-
     def test_backward_is_self_adjoint(self):
         sens, slices, _ = make_fixture(coils=4)
         item = slices[0]
@@ -147,6 +134,73 @@ class TestDCProjection:
         with pytest.raises(ValueError):
             dc_project(np.zeros((16, 16), complex), slices[0].kspace, sens,
                        slices[0].acquired)
+
+    def test_batch_matches_per_slice(self):
+        # a list of per-slice masks projects a batch exactly as slice by slice
+        sens, slices, _ = make_fixture(coils=4, n=3)
+        rng = np.random.default_rng(8)
+        pred = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
+        meas = np.stack([item.kspace for item in slices])
+        masks = [item.acquired for item in slices]
+        for fn in (dc_project, dc_project_kspace):
+            assert np.array_equal(
+                fn(pred, meas, sens, masks),
+                np.stack([fn(pred[i], meas[i], sens, masks[i]) for i in range(3)]))
+        assert np.array_equal(
+            dc_backward(pred, sens, masks),
+            np.stack([dc_backward(pred[i], sens, masks[i]) for i in range(3)]))
+
+
+class TestReconLoss:
+    def _setup(self):
+        sens, slices, _ = make_fixture(coils=4, n=1)
+        item = slices[0]
+        part = partition_mask(item.acquired, 0.5, seed=1)
+        rng = np.random.default_rng(9)
+        y0_pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        return sens, item, part, y0_pred, make_schedule(100)
+
+    @pytest.mark.parametrize("t", [25, 50, 75])
+    def test_direct_loss_matches_noise_oracle(self, t):
+        # the noise-prediction loss of the loss columns, built from the noise
+        # pair of a y_t draw, equals the direct residual loss: eps and y_t
+        # cancel
+        sens, item, part, y0_pred, sched = self._setup()
+        op = EncodingOperator(sens, part.train, 32, 32)
+        y0_in = zero_filled(apply_mask(item.kspace, part.train), op)
+        rng = np.random.default_rng(t)
+        eps = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        y_t = sample_yt(y0_in, t, eps, sched)
+        ab = sched.alpha_bar[t]
+        coef = np.sqrt(ab) / np.sqrt(1.0 - ab)
+        eps_pred = sens * ((y_t - np.sqrt(ab) * y0_pred) / np.sqrt(1.0 - ab))
+        eps_true = (sens * (eps + coef * y0_in)
+                    - coef * ifft2c(apply_mask(item.kspace, part.loss)))
+        oracle = recon_loss_masked(eps_true, eps_pred, part.loss, t, sched)
+        loss, _ = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss, t, sched)
+        assert oracle > 0
+        assert abs(loss - oracle) <= 1e-12 * oracle
+
+    def test_gradient_matches_finite_difference(self):
+        # d loss / d Re(y0_pred) + i d loss / d Im(y0_pred); the loss is
+        # quadratic, so central differences carry rounding error only
+        sens, item, part, y0_pred, sched = self._setup()
+        t = 50
+        _, grad = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss, t, sched)
+
+        def loss_at(x):
+            return float(recon_loss_and_grad(x, item.kspace, sens, part.loss,
+                                             t, sched)[0])
+
+        rng = np.random.default_rng(10)
+        h = 1e-3
+        for flat in rng.choice(y0_pred.size, 12, replace=False):
+            i, j = np.unravel_index(flat, y0_pred.shape)
+            for unit, part_of in ((1.0, np.real), (1j, np.imag)):
+                step = np.zeros_like(y0_pred)
+                step[i, j] = h * unit
+                fd = (loss_at(y0_pred + step) - loss_at(y0_pred - step)) / (2 * h)
+                assert fd == pytest.approx(part_of(grad[i, j]), rel=1e-6, abs=1e-12)
 
 
 def small_cfg(**kw):
