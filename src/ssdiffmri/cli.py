@@ -26,6 +26,11 @@ from .stats import compare_methods
 
 OUT_ROOT_ENV = "SSDIFFMRI_OUT"
 
+# TrainConfig fields that `train` and `sweep` take as flags (--rho,
+# --batch-size, ...), with the field's default and its type
+_TRAIN_FLAGS = ("rho", "lr", "batch_size", "epochs", "T", "stride_k",
+               "adv_weight", "hidden", "disc_width", "max_steps", "t_start")
+
 
 def _default_out(args, name):
     if args.out:
@@ -132,12 +137,8 @@ def _config_from_dict(values, source, base=None):
 
 
 def _train_config_from_args(args, meta):
-    cfg = TrainConfig(R=meta["R"], rho=args.rho, lr=args.lr,
-                      batch_size=args.batch_size, epochs=args.epochs,
-                      T=args.T, stride_k=args.stride_k,
-                      adv_weight=args.adv_weight, seed=args.seed,
-                      hidden=args.hidden, disc_width=args.disc_width,
-                      max_steps=args.max_steps, t_start=args.t_start)
+    cfg = TrainConfig(R=meta["R"], seed=args.seed,
+                      **{name: getattr(args, name) for name in _TRAIN_FLAGS})
     if args.config:
         with open(args.config) as f:
             cfg = _config_from_dict(json.load(f), args.config, base=cfg.to_dict())
@@ -299,7 +300,7 @@ def cmd_stats(args):
     for metric in ("nmse", "psnr", "ssim"):
         groups = {m: np.array([float(t[i][metric]) for i in sorted(common)])
                   for m, t in tables.items()}
-        res = compare_methods(groups, alpha=args.alpha)
+        res = compare_methods(groups)
         results[metric] = res.to_dict()
         print(f"{metric}: ANOVA F={res.anova_f:.4g} p={res.anova_p:.4g}")
         for a, b, q, p in res.pairwise:
@@ -383,17 +384,10 @@ def build_parser():
     sp.set_defaults(func=cmd_undersample)
 
     def add_train_flags(sp):
-        sp.add_argument("--rho", type=float, default=0.5)
-        sp.add_argument("--lr", type=float, default=2e-4)
-        sp.add_argument("--batch-size", type=int, default=4, dest="batch_size")
-        sp.add_argument("--epochs", type=int, default=25)
-        sp.add_argument("--T", type=int, default=100)
-        sp.add_argument("--stride-k", type=int, default=25, dest="stride_k")
-        sp.add_argument("--adv-weight", type=float, default=0.1, dest="adv_weight")
-        sp.add_argument("--hidden", type=int, default=24)
-        sp.add_argument("--disc-width", type=int, default=12, dest="disc_width")
-        sp.add_argument("--max-steps", type=int, default=0, dest="max_steps")
-        sp.add_argument("--t-start", type=int, default=0, dest="t_start")
+        for name in _TRAIN_FLAGS:
+            default = getattr(TrainConfig, name)
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            type=type(default), default=default)
         sp.add_argument("--config", default=None,
                         help="JSON file overriding TrainConfig fields")
 
@@ -427,7 +421,6 @@ def build_parser():
     sp = sub.add_parser("stats", help="ANOVA and Tukey HSD across method reports")
     add_common(sp)
     sp.add_argument("reports", nargs="+", help="metrics.csv files (>= 2)")
-    sp.add_argument("--alpha", type=float, default=0.05)
     sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("sweep", help="train/evaluate over a rho grid")

@@ -11,7 +11,7 @@ im2col gather contiguous, which dominates the runtime otherwise.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +29,31 @@ class ParamBlock:
     stop: int
 
 
-@dataclass
 class ModelState:
-    """Flat parameter vector with parallel gradient and Adam moment buffers."""
+    """Flat parameter vector with parallel gradient and Adam moment buffers.
 
-    params: np.ndarray
-    grads: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-    blocks: list
-    buffers: dict = field(default_factory=dict)
+    Layers claim consecutive blocks of the flat arrays with ``add`` and keep
+    the returned views, so the block order is the construction order.
+    """
 
-    def view(self, name, which="params"):
-        blk = self._block(name)
-        return getattr(self, which)[blk.start:blk.stop].reshape(blk.shape)
+    def __init__(self, size, dtype):
+        self.params = np.zeros(size, dtype=dtype)
+        self.grads = np.zeros(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        self.step = 0
+        self.blocks = []
+        self.buffers = {}
 
-    def _block(self, name):
-        for blk in self.blocks:
-            if blk.name == name:
-                return blk
-        raise KeyError(f"no parameter block named {name!r}")
+    def add(self, name, shape, init):
+        """Claim the next block, fill it with `init`, and return its
+        (parameter, gradient) views."""
+        start = self.blocks[-1].stop if self.blocks else 0
+        blk = ParamBlock(name, tuple(shape), start, start + int(np.prod(shape)))
+        self.blocks.append(blk)
+        param = self.params[blk.start:blk.stop].reshape(blk.shape)
+        param[...] = init
+        return param, self.grads[blk.start:blk.stop].reshape(blk.shape)
 
     def zero_grads(self):
         self.grads[:] = 0.0
@@ -66,34 +70,6 @@ class ModelState:
         self.require_finite("grads")
 
 
-class _StateBuilder:
-    """Accumulates block layouts, then materializes one flat ModelState."""
-
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self.blocks = []
-        self.inits = []
-        self.buffers = {}
-        self.size = 0
-
-    def add(self, name, shape, init):
-        n = int(np.prod(shape))
-        self.blocks.append(ParamBlock(name, tuple(shape), self.size, self.size + n))
-        self.inits.append(init)
-        self.size += n
-
-    def add_buffer(self, name, array):
-        self.buffers[name] = np.asarray(array, dtype=self.dtype)
-
-    def build(self):
-        params = np.zeros(self.size, dtype=self.dtype)
-        for blk, init in zip(self.blocks, self.inits):
-            params[blk.start:blk.stop] = np.asarray(init, dtype=self.dtype).ravel()
-        zeros = lambda: np.zeros(self.size, dtype=self.dtype)
-        return ModelState(params=params, grads=zeros(), m=zeros(), v=zeros(),
-                          step=0, blocks=self.blocks, buffers=self.buffers)
-
-
 def _he_uniform(rng, shape, fan_in):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
@@ -106,11 +82,14 @@ class _Conv3x3:
     the weight-gradient product run in their fastest BLAS orientation.
     """
 
-    def __init__(self, state, name, cin, cout):
-        self.state = state
+    def __init__(self, state, name, cin, cout, rng):
+        self.state = state  # read by perfbench's tracer to tell the nets apart
         self.name = name
         self.cin = cin
         self.cout = cout
+        self.w, self.dw = state.add(f"{name}.w", (9 * cin, cout),
+                                    _he_uniform(rng, (9 * cin, cout), 9 * cin))
+        self.b, self.db = state.add(f"{name}.b", (cout,), 0.0)
         self._cache = None
 
     def _im2col(self, x):
@@ -123,7 +102,7 @@ class _Conv3x3:
     def forward(self, x, keep_cache):
         B, H, W, C = x.shape
         cols = self._im2col(x)
-        out = cols @ self.state.view(f"{self.name}.w") + self.state.view(f"{self.name}.b")
+        out = cols @ self.w + self.b
         if keep_cache:
             self._cache = (cols, (B, H, W, C))
         return out.reshape(B, H, W, self.cout)
@@ -134,24 +113,18 @@ class _Conv3x3:
         cols, (B, H, W, C) = self._cache
         gmat = g.reshape(B * H * W, self.cout)
         if accumulate:
-            self.state.view(f"{self.name}.w", "grads")[...] += cols.T @ gmat
-            self.state.view(f"{self.name}.b", "grads")[...] += gmat.sum(axis=0)
+            self.dw += cols.T @ gmat
+            self.db += gmat.sum(axis=0)
         # column gradients tap-major, (3, 3, B, H, W, C): one GEMM per tap
         # against that tap's (C, cout) weight rows, so every tap's scatter
         # below adds a contiguous image instead of a C-wide strided slice
-        w_taps = self.state.view(f"{self.name}.w").reshape(9, C, self.cout)
+        w_taps = self.w.reshape(9, C, self.cout)
         dcols = np.matmul(gmat, w_taps.transpose(0, 2, 1)).reshape(3, 3, B, H, W, C)
         dxp = np.zeros((B, H + 2, W + 2, C), dtype=g.dtype)
         for i in range(3):
             for j in range(3):
                 dxp[:, i:i + H, j:j + W, :] += dcols[i, j]
         return dxp[:, 1:H + 1, 1:W + 1, :]
-
-    @staticmethod
-    def register(builder, name, cin, cout, rng):
-        builder.add(f"{name}.w", (9 * cin, cout),
-                    _he_uniform(rng, (9 * cin, cout), 9 * cin))
-        builder.add(f"{name}.b", (cout,), np.zeros(cout))
 
 
 class _ReLU:
@@ -174,16 +147,16 @@ class _BatchNorm:
     running averages in eval mode."""
 
     def __init__(self, state, name, channels):
-        self.state = state
         self.name = name
-        self.channels = channels
+        self.gamma, self.dgamma = state.add(f"{name}.gamma", (channels,), 1.0)
+        self.beta, self.dbeta = state.add(f"{name}.beta", (channels,), 0.0)
+        dtype = state.params.dtype
+        self.run_mean = state.buffers[f"{name}.run_mean"] = np.zeros(channels, dtype)
+        self.run_var = state.buffers[f"{name}.run_var"] = np.ones(channels, dtype)
         self._cache = None
 
     def forward(self, x, train, keep_cache, update_running=True):
-        gamma = self.state.view(f"{self.name}.gamma")
-        beta = self.state.view(f"{self.name}.beta")
-        run_mean = self.state.buffers[f"{self.name}.run_mean"]
-        run_var = self.state.buffers[f"{self.name}.run_var"]
+        run_mean, run_var = self.run_mean, self.run_var
         if train:
             mu = x.mean(axis=(0, 1, 2))
             var = x.var(axis=(0, 1, 2))
@@ -198,17 +171,16 @@ class _BatchNorm:
         xhat = (x - mu) * ivar
         if keep_cache:
             self._cache = (xhat, ivar, train)
-        return gamma * xhat + beta
+        return self.gamma * xhat + self.beta
 
     def backward(self, g, accumulate=True):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
         xhat, ivar, train = self._cache
-        gamma = self.state.view(f"{self.name}.gamma")
         if accumulate:
-            self.state.view(f"{self.name}.gamma", "grads")[...] += (g * xhat).sum(axis=(0, 1, 2))
-            self.state.view(f"{self.name}.beta", "grads")[...] += g.sum(axis=(0, 1, 2))
-        dxhat = g * gamma
+            self.dgamma += (g * xhat).sum(axis=(0, 1, 2))
+            self.dbeta += g.sum(axis=(0, 1, 2))
+        dxhat = g * self.gamma
         if not train:
             return dxhat * ivar
         B, H, W, C = g.shape
@@ -216,13 +188,6 @@ class _BatchNorm:
         s1 = dxhat.sum(axis=(0, 1, 2))
         s2 = (dxhat * xhat).sum(axis=(0, 1, 2))
         return (ivar / n) * (n * dxhat - s1 - xhat * s2)
-
-    @staticmethod
-    def register(builder, name, channels):
-        builder.add(f"{name}.gamma", (channels,), np.ones(channels))
-        builder.add(f"{name}.beta", (channels,), np.zeros(channels))
-        builder.add_buffer(f"{name}.run_mean", np.zeros(channels))
-        builder.add_buffer(f"{name}.run_var", np.ones(channels))
 
 
 def _sigmoid(z):
@@ -277,12 +242,9 @@ class Denoiser:
         self.spec = spec
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        builder = _StateBuilder(dtype)
-        for i, (cin, cout) in enumerate(zip(spec.channels[:-1], spec.channels[1:])):
-            _Conv3x3.register(builder, f"conv{i}", cin, cout, rng)
-        self.state = builder.build()
+        self.state = ModelState(spec.param_count, dtype)
         self.convs = [
-            _Conv3x3(self.state, f"conv{i}", cin, cout)
+            _Conv3x3(self.state, f"conv{i}", cin, cout, rng)
             for i, (cin, cout) in enumerate(zip(spec.channels[:-1], spec.channels[1:]))
         ]
         self.relus = [_ReLU() for _ in range(len(self.convs) - 1)]
@@ -339,21 +301,16 @@ class Discriminator:
         self.spec = spec
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        builder = _StateBuilder(dtype)
-        cin = spec.in_channels
+        self.state = ModelState(spec.param_count, dtype)
+        self.convs, self.bns = [], []
         for i in range(spec.n_layers):
-            _Conv3x3.register(builder, f"conv{i}", cin, spec.width, rng)
-            _BatchNorm.register(builder, f"bn{i}", spec.width)
-            cin = spec.width
-        builder.add("head.w", (spec.width,), _he_uniform(rng, (spec.width,), spec.width))
-        builder.add("head.b", (1,), np.zeros(1))
-        self.state = builder.build()
-        self.convs = [_Conv3x3(self.state, f"conv{i}",
-                               spec.in_channels if i == 0 else spec.width, spec.width)
-                      for i in range(spec.n_layers)]
+            cin = spec.in_channels if i == 0 else spec.width
+            self.convs.append(_Conv3x3(self.state, f"conv{i}", cin, spec.width, rng))
+            self.bns.append(_BatchNorm(self.state, f"bn{i}", spec.width))
         self.relus = [_ReLU() for _ in range(spec.n_layers)]
-        self.bns = [_BatchNorm(self.state, f"bn{i}", spec.width)
-                    for i in range(spec.n_layers)]
+        self.head_w, self.head_dw = self.state.add(
+            "head.w", (spec.width,), _he_uniform(rng, (spec.width,), spec.width))
+        self.head_b, self.head_db = self.state.add("head.b", (1,), 0.0)
         self._cache = None
 
     def forward(self, sample, cond, train=False, keep_cache=False, update_running=True):
@@ -374,7 +331,7 @@ class Discriminator:
             h = relu.forward(h, keep_cache)
             h = bn.forward(h, train, keep_cache, update_running)
         pooled = h.mean(axis=(1, 2))
-        z = pooled @ self.state.view("head.w") + self.state.view("head.b")[0]
+        z = pooled @ self.head_w + self.head_b[0]
         score = _sigmoid(z)
         if keep_cache:
             self._cache = (pooled, score, h.shape)
@@ -387,12 +344,11 @@ class Discriminator:
             raise RuntimeError("discriminator backward without cached forward")
         pooled, score, hshape = self._cache
         dz = np.asarray(dscore, dtype=self.dtype) * score * (1.0 - score)
-        w = self.state.view("head.w")
         if accumulate:
-            self.state.view("head.w", "grads")[...] += pooled.T @ dz
-            self.state.view("head.b", "grads")[...] += dz.sum()
+            self.head_dw += pooled.T @ dz
+            self.head_db += dz.sum()
         B, H, W, C = hshape
-        g = (dz[:, None] * w[None, :])[:, None, None, :] / (H * W)
+        g = (dz[:, None] * self.head_w[None, :])[:, None, None, :] / (H * W)
         g = np.broadcast_to(g, hshape).astype(self.dtype, copy=True)
         for conv, relu, bn in zip(reversed(self.convs), reversed(self.relus),
                                   reversed(self.bns)):
@@ -449,20 +405,21 @@ def adam_step(state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     state.zero_grads()
 
 
-def save_state(state, directory, prefix, include_moments=True):
-    """Write one CKSP tensor per parameter block plus a JSON index."""
+# the flat arrays a checkpoint holds per block, and their file suffixes
+_BLOCK_FILES = (("params", ""), ("m", ".m"), ("v", ".v"))
+
+
+def save_state(state, directory, prefix):
+    """Write one CKSP tensor per parameter block and per Adam moment block,
+    one per buffer, and a JSON index."""
     os.makedirs(directory, exist_ok=True)
-    index = {"blocks": {}, "buffers": list(state.buffers), "step": state.step,
-             "moments_included": bool(include_moments)}
+    index = {"blocks": {}, "buffers": list(state.buffers), "step": state.step}
     for blk in state.blocks:
         index["blocks"][blk.name] = list(blk.shape)
-        tensorio.write_tensor(state.view(blk.name).astype(np.complex128),
-                              os.path.join(directory, f"{prefix}.{blk.name}.cksp"))
-        if include_moments:
-            for which in ("m", "v"):
-                tensorio.write_tensor(
-                    state.view(blk.name, which).astype(np.complex128),
-                    os.path.join(directory, f"{prefix}.{blk.name}.{which}.cksp"))
+        for which, suffix in _BLOCK_FILES:
+            flat = getattr(state, which)[blk.start:blk.stop]
+            tensorio.write_tensor(flat.reshape(blk.shape).astype(np.complex128),
+                                  os.path.join(directory, f"{prefix}.{blk.name}{suffix}.cksp"))
     for name, buf in state.buffers.items():
         tensorio.write_tensor(buf.astype(np.complex128),
                               os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
@@ -475,14 +432,11 @@ def load_state(state, directory, prefix):
     with open(os.path.join(directory, f"{prefix}.index.json")) as f:
         index = json.load(f)
     for blk in state.blocks:
-        t = tensorio.read_tensor(os.path.join(directory, f"{prefix}.{blk.name}.cksp"))
-        state.view(blk.name)[...] = t.real.astype(state.params.dtype)
-        if index["moments_included"]:
-            for which in ("m", "v"):
-                t = tensorio.read_tensor(
-                    os.path.join(directory, f"{prefix}.{blk.name}.{which}.cksp"))
-                state.view(blk.name, which)[...] = t.real.astype(state.params.dtype)
+        for which, suffix in _BLOCK_FILES:
+            t = tensorio.read_tensor(
+                os.path.join(directory, f"{prefix}.{blk.name}{suffix}.cksp"))
+            getattr(state, which)[blk.start:blk.stop].reshape(blk.shape)[...] = t.real
     for name in state.buffers:
         t = tensorio.read_tensor(os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
-        state.buffers[name][...] = t.real.astype(state.params.dtype)
+        state.buffers[name][...] = t.real
     state.step = int(index["step"])

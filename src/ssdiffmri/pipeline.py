@@ -245,7 +245,9 @@ class Trainer:
         self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)))
         d_fake = self.disc.forward(y_hat_ch, y_tk_ch, train=True, keep_cache=True)
         self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
-        gi = self.disc.input_grad(y_hat_ch, y_tk_ch, train=True)
+        # the penalty's input gradient reuses the d_fake forward cache: the
+        # parameters, the batch and the train-mode BN statistics are the same
+        gi = self.disc.backward(np.ones(B, self.disc.dtype), accumulate=False)[..., :2]
         pen = np.sum(np.asarray(gi, np.float64) ** 2, axis=(1, 2, 3))
         self.disc.penalty_param_grads(y_hat_ch, y_tk_ch, gi, scale=1.0 / B,
                                       train=True)

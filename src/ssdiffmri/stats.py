@@ -156,7 +156,7 @@ def studentized_range_sf(q, k, df, n_outer=64, n_inner=128):
     return float(min(max(1.0 - cdf, 0.0), 1.0))
 
 
-def tukey_hsd(groups, alpha=0.05, labels=None):
+def tukey_hsd(groups, labels=None):
     """All-pairs Tukey HSD table using the harmonic mean of group sizes."""
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2:
@@ -184,10 +184,10 @@ def tukey_hsd(groups, alpha=0.05, labels=None):
     return table
 
 
-def compare_methods(named_groups, alpha=0.05):
+def compare_methods(named_groups):
     """ANOVA plus Tukey HSD over a {label: samples} mapping."""
     labels = list(named_groups)
     groups = [named_groups[m] for m in labels]
     f, p = anova_oneway(groups)
-    pairwise = tukey_hsd(groups, alpha=alpha, labels=labels)
+    pairwise = tukey_hsd(groups, labels=labels)
     return TestResult(anova_f=f, anova_p=p, pairwise=pairwise)

@@ -7,6 +7,7 @@ a length-prefixed JSON header, then little-endian interleaved float32
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -60,7 +61,11 @@ def write_tensor(t, path):
 
 
 def read_tensor(path):
-    """Read a CKSP tensor file back into a complex128 array."""
+    """Read a CKSP tensor file back into a complex128 array.
+
+    Any file that is not a well-formed CKSP tensor with finite values
+    raises CkspError.
+    """
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -74,13 +79,17 @@ def read_tensor(path):
         raise TruncatedFileError(f"{path!r}: header truncated")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CkspError(f"{path!r}: malformed header: {exc}") from exc
+    shape = header.get("shape") if isinstance(header, dict) else None
+    if not isinstance(shape, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in shape):
+        raise CkspError(f"{path!r}: header needs a \"shape\" list of integers")
 
-    shape = tuple(int(s) for s in header["shape"])
-    if any(s <= 0 for s in shape) and shape != ():
+    shape = tuple(shape)
+    if any(s <= 0 for s in shape):
         raise CkspError(f"{path!r}: non-positive extent in shape {shape}")
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
+    expected = math.prod(shape) * 8
     payload = raw[8 + header_len :]
     if len(payload) < expected:
         raise TruncatedFileError(
@@ -91,6 +100,8 @@ def read_tensor(path):
             f"{path!r}: payload has {len(payload)} bytes, header shape {shape} "
             f"needs exactly {expected}"
         )
+    if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f4"))):
+        raise CkspError(f"{path!r}: non-finite values in the payload")
     data = np.frombuffer(payload, dtype="<c8").reshape(shape)
     return data.astype(np.complex128)
 
@@ -181,8 +192,8 @@ def generate_sensitivities(n_coils, rows, cols, seed=0):
     """
     if n_coils < 1:
         raise ValueError("n_coils must be >= 1")
-    if rows < 1 or cols < 1:
-        raise ValueError("degenerate extents")
+    if rows < 2 or cols < 2:
+        raise ValueError(f"sensitivity extents must be >= 2, got {rows}x{cols}")
 
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:rows, 0:cols]

@@ -1,12 +1,14 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from ssdiffmri import tensorio
-from ssdiffmri.cli import run
+from ssdiffmri.cli import _train_config_from_args, build_parser, run
+from ssdiffmri.pipeline import TrainConfig
 
 
 def invoke(*argv):
@@ -135,6 +137,10 @@ class TestTrain:
         assert cfg["rho"] == 0.5
         assert cfg["max_steps"] == 6
 
+    def test_flag_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "d"])
+        assert _train_config_from_args(args, {"R": TrainConfig.R}) == TrainConfig()
+
     def test_rho_out_of_range_usage(self, undersampled, tmp_path):
         assert invoke("train", "--data", str(undersampled), "--rho", "1.5",
                       "--out", str(tmp_path / "r")) == 1
@@ -248,6 +254,18 @@ class TestBadInput:
         assert invoke("undersample", "--data", str(data),
                       "--out", str(tmp_path / "u")) == 1
         assert "slice_0002.cksp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"{}", b'{"shape": 5}', b"[32, 32]",
+                                        b'{"shape": null}', b'{"shape": ["x"]}'])
+    def test_malformed_header_exits_1_naming_file(self, dataset, tmp_path, capsys, header):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        target = data / "slices" / "slice_0001.cksp"
+        target.write_bytes(b"CKSP" + struct.pack("<I", len(header)) + header
+                           + bytes(32 * 32 * 8))
+        assert invoke("undersample", "--data", str(data),
+                      "--out", str(tmp_path / "u")) == 1
+        assert "slice_0001.cksp" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_1_naming_key(self, undersampled, tmp_path, capsys):
         path = tmp_path / "overrides.json"

@@ -40,12 +40,31 @@ class TestSpecs:
         # 9*5*8 + 8 + 9*8*2 + 2
         assert spec.param_count == 360 + 8 + 144 + 2
         den = Denoiser(spec, seed=0)
-        assert den.state.params.size == spec.param_count
+        assert den.state.blocks[-1].stop == den.state.params.size == spec.param_count
 
     def test_discriminator_param_count(self):
         spec = DiscriminatorSpec(width=6)
         disc = Discriminator(spec, seed=0)
-        assert disc.state.params.size == spec.param_count
+        assert disc.state.blocks[-1].stop == disc.state.params.size == spec.param_count
+
+    def test_blocks_tile_the_flat_arrays_in_layer_order(self):
+        disc = Discriminator(DiscriminatorSpec(width=3, n_layers=2), seed=0)
+        names = [b.name for b in disc.state.blocks]
+        assert names == ["conv0.w", "conv0.b", "bn0.gamma", "bn0.beta",
+                         "conv1.w", "conv1.b", "bn1.gamma", "bn1.beta",
+                         "head.w", "head.b"]
+        assert [b.start for b in disc.state.blocks[1:]] == [
+            b.stop for b in disc.state.blocks[:-1]]
+        assert list(disc.state.buffers) == ["bn0.run_mean", "bn0.run_var",
+                                            "bn1.run_mean", "bn1.run_var"]
+
+    def test_layer_views_share_the_flat_arrays(self, tiny_disc):
+        conv, bn = tiny_disc.convs[1], tiny_disc.bns[1]
+        tiny_disc.state.params[:] = 2.0
+        tiny_disc.state.grads[:] = 3.0
+        assert np.all(conv.w == 2.0) and np.all(bn.gamma == 2.0)
+        assert np.all(conv.dw == 3.0) and np.all(tiny_disc.head_db == 3.0)
+        assert bn.run_var is tiny_disc.state.buffers["bn1.run_var"]
 
 
 class TestDenoiser:
@@ -191,6 +210,17 @@ class TestDiscriminator:
         tiny_disc.input_grad(s, s.copy(), train=True)
         assert np.all(tiny_disc.state.grads == 0)
 
+    def test_cached_backward_equals_input_grad_train_mode(self, tiny_disc):
+        # the train step takes the penalty's input gradient from the cache
+        # of the fake-pair forward and backward instead of a fresh forward
+        rng = np.random.default_rng(5)
+        s = rng.standard_normal((3, 8, 8, 2))
+        c = rng.standard_normal((3, 8, 8, 2))
+        tiny_disc.forward(s, c, train=True, keep_cache=True)
+        tiny_disc.backward(rng.standard_normal(3))
+        cached = tiny_disc.backward(np.ones(3), accumulate=False)[..., :2]
+        assert np.array_equal(cached, tiny_disc.input_grad(s, c, train=True))
+
     def test_penalty_param_grads_match_fd(self, tiny_disc):
         disc = tiny_disc
         s = RNG.standard_normal((2, 8, 8, 2))
@@ -278,9 +308,14 @@ class TestCheckpoint:
         load_state(other.state, tmp_path, "disc")
         np.testing.assert_allclose(other.state.params, disc.state.params, atol=1e-6)
 
-    def test_without_moments(self, tmp_path):
-        den = Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=1, dtype=np.float32)
-        save_state(den.state, tmp_path, "den", include_moments=False)
-        other = Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=50, dtype=np.float32)
-        load_state(other.state, tmp_path, "den")
-        assert np.array_equal(other.state.params, den.state.params)
+    def test_loaded_state_drives_the_layers(self, tmp_path, tiny_disc):
+        s = np.random.default_rng(6).standard_normal((2, 8, 8, 2))
+        tiny_disc.forward(s, s.copy(), train=True, keep_cache=True)
+        tiny_disc.backward(np.ones(2))
+        adam_step(tiny_disc.state, lr=1e-2)
+        save_state(tiny_disc.state, tmp_path, "disc")
+        other = Discriminator(DiscriminatorSpec(width=6), seed=99)
+        load_state(other.state, tmp_path, "disc")
+        np.testing.assert_allclose(other.forward(s, s.copy()),
+                                   tiny_disc.forward(s, s.copy()), atol=1e-5)
+        assert len(list(tmp_path.iterdir())) == 3 * len(other.state.blocks) + 8 + 1

@@ -1,6 +1,10 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssdiffmri import tensorio
@@ -100,6 +104,74 @@ class TestFileFormat:
         assert np.array_equal(read_tensor(path), t)
 
 
+# JSON values of every kind, nested, for fuzzed headers
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_headers = st.one_of(
+    st.binary(max_size=24),
+    _json.map(json.dumps),
+    st.fixed_dictionaries({"shape": _json}).map(json.dumps),
+    st.fixed_dictionaries({"shape": st.lists(st.integers(-1, 3), max_size=2)}).map(json.dumps),
+).map(lambda h: h if isinstance(h, bytes) else h.encode())
+
+
+def _after_magic(header, payload):
+    return struct.pack("<I", len(header)) + header + payload
+
+
+def _well_formed(shape):
+    n = 8 * math.prod(shape)
+    return st.binary(min_size=n, max_size=n).map(
+        lambda payload: _after_magic(json.dumps({"shape": shape}).encode(), payload))
+
+
+# anything after the magic: raw bytes, fuzzed headers, and valid layouts
+_after_magic_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_after_magic, _headers,
+              st.integers(0, 9).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n))),
+    st.lists(st.integers(1, 3), max_size=2).flatmap(_well_formed))
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("header", [b"{}", b'{"shape": 5}', b"[2, 2]",
+                                        b'{"shape": null}', b'{"shape": ["x"]}',
+                                        b'{"shape": [true]}', b'{"shape": [2.0]}'])
+    def test_bad_header_raises_cksp_error(self, tmp_path, header):
+        path = tmp_path / "h.cksp"
+        path.write_bytes(b"CKSP" + _after_magic(header, bytes(32)))
+        with pytest.raises(CkspError, match="list of integers"):
+            read_tensor(path)
+
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        path = tmp_path / "nan.cksp"
+        path.write_bytes(b"CKSP" + _after_magic(b'{"shape": [1]}',
+                                                np.array([np.nan], "<c8").tobytes()))
+        with pytest.raises(CkspError, match="non-finite"):
+            read_tensor(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_after_magic_bytes)
+    @example(_after_magic(b'{"shape": [2]}', np.arange(2, dtype="<c8").tobytes()))
+    def test_any_bytes_round_trip_or_raise_cksp_error(self, tmp_path_factory, rest):
+        d = tmp_path_factory.mktemp("fuzz")
+        path = d / "f.cksp"
+        path.write_bytes(b"CKSP" + rest)
+        try:
+            t = read_tensor(path)
+        except CkspError:
+            return
+        write_tensor(t, d / "g.cksp")
+        again = read_tensor(d / "g.cksp")
+        assert again.shape == t.shape and np.array_equal(again, t)
+        header_len = struct.unpack("<I", rest[:4])[0]
+        assert np.asarray(t, "<c8").tobytes() == rest[4 + header_len:]
+
+
 class TestPhantom:
     def test_deterministic(self):
         a = generate_phantom(32, 32, 5, seed=3)
@@ -151,6 +223,16 @@ class TestSensitivities:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             generate_sensitivities(0, 16, 16)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1), (1, 1), (0, 8)])
+    def test_single_row_or_column_rejected(self, rows, cols):
+        # the coordinate normalisation divides by (extent - 1) / 2
+        with pytest.raises(ValueError, match="extents"):
+            generate_sensitivities(4, rows, cols)
+
+    def test_two_by_two_is_finite(self):
+        maps = generate_sensitivities(3, 2, 2, seed=1)
+        assert np.all(np.isfinite(maps))
 
 
 class TestManifest:
