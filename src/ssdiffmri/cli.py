@@ -148,6 +148,15 @@ def _train_config_from_args(args, meta):
 def cmd_train(args):
     meta, manifest, sens, slices = _load_undersampled(args.data)
     cfg = _train_config_from_args(args, meta)
+    den, disc = build_models(cfg)
+    if args.resume:
+        load_state(den.state, args.resume, "denoiser")
+        load_state(disc.state, args.resume, "disc")
+        if den.state.step != disc.state.step:
+            raise RuntimeError(
+                f"{args.resume}: denoiser has {den.state.step} steps but the "
+                f"discriminator has {disc.state.step}; not a checkpoint of one run")
+
     out = _default_out(args, "train_out")
     _prepare_out(out, args.force)
     os.makedirs(os.path.join(out, "checkpoints"))
@@ -155,10 +164,6 @@ def cmd_train(args):
     with open(os.path.join(out, "config.json"), "w") as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
 
-    den, disc = build_models(cfg)
-    if args.resume:
-        load_state(den.state, args.resume, "denoiser")
-        load_state(disc.state, args.resume, "disc")
     trainer = Trainer(den, disc, sens, cfg)
     trainer.global_step = den.state.step
 

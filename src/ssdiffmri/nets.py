@@ -7,6 +7,12 @@ finite-difference tests.
 
 Activations are channels-last (batch, rows, cols, channels); that keeps the
 im2col gather contiguous, which dominates the runtime otherwise.
+
+Rule: per-channel work never runs on rows C elements long. With 2-32
+channels innermost, numpy's inner loop would do almost nothing per call, so
+per-channel sums are one BLAS product (``_channel_sum``), and per-channel
+broadcasts act on ``_rows`` views W*C wide against the channel vector tiled
+W times (``np.tile(v, W)``).
 """
 
 import json
@@ -70,6 +76,18 @@ class ModelState:
         self.require_finite("grads")
 
 
+def _channel_sum(x, channels):
+    """Per-channel sum of channel-innermost `x` (any leading shape, `_rows`
+    views included), as one gemv."""
+    flat = x.reshape(-1, channels)
+    return np.ones(flat.shape[0], flat.dtype) @ flat
+
+
+def _rows(x):
+    """View channels-last (B, H, W, C) `x` as (B*H, W*C): one image row per row."""
+    return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
 def _he_uniform(rng, shape, fan_in):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
@@ -102,19 +120,25 @@ class _Conv3x3:
     def forward(self, x, keep_cache):
         B, H, W, C = x.shape
         cols = self._im2col(x)
-        out = cols @ self.w + self.b
+        out = (cols @ self.w).reshape(B, H, W, self.cout)
+        out_rows = _rows(out)
+        out_rows += np.tile(self.b, W)
         if keep_cache:
             self._cache = (cols, (B, H, W, C))
-        return out.reshape(B, H, W, self.cout)
+        return out
 
-    def backward(self, g, accumulate=True):
+    def backward(self, g, accumulate=True, input_grad=True):
+        """Accumulate the parameter gradients (if `accumulate`) and return
+        the input gradient, or None when `input_grad` is false."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
         cols, (B, H, W, C) = self._cache
         gmat = g.reshape(B * H * W, self.cout)
         if accumulate:
             self.dw += cols.T @ gmat
-            self.db += gmat.sum(axis=0)
+            self.db += _channel_sum(gmat, self.cout)
+        if not input_grad:
+            return None
         # column gradients tap-major, (3, 3, B, H, W, C): one GEMM per tap
         # against that tap's (C, cout) weight rows, so every tap's scatter
         # below adds a contiguous image instead of a C-wide strided slice
@@ -157,9 +181,12 @@ class _BatchNorm:
 
     def forward(self, x, train, keep_cache, update_running=True):
         run_mean, run_var = self.run_mean, self.run_var
+        B, H, W, C = x.shape
         if train:
-            mu = x.mean(axis=(0, 1, 2))
-            var = x.var(axis=(0, 1, 2))
+            n = B * H * W
+            mu = _channel_sum(x, C) / n
+            xc = _rows(x) - np.tile(mu, W)
+            var = _channel_sum(xc * xc, C) / n
             if update_running:
                 run_mean *= 1.0 - BN_MOMENTUM
                 run_mean += BN_MOMENTUM * mu
@@ -167,27 +194,39 @@ class _BatchNorm:
                 run_var += BN_MOMENTUM * var
         else:
             mu, var = run_mean, run_var
+            xc = _rows(x) - np.tile(mu, W)
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mu) * ivar
+        xhat = xc
+        xhat *= np.tile(ivar, W)
         if keep_cache:
             self._cache = (xhat, ivar, train)
-        return self.gamma * xhat + self.beta
+        out = xhat * np.tile(self.gamma, W)
+        out += np.tile(self.beta, W)
+        return out.reshape(x.shape)
 
     def backward(self, g, accumulate=True):
+        """Input gradient from the two per-channel sums s1 = sum(g) and
+        s2 = sum(g * xhat): dx = gamma * ivar * (g - s1 / n - xhat * s2 / n)
+        in train mode, one per-channel affine map of g and xhat, and
+        dx = gamma * ivar * g in eval mode."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
         xhat, ivar, train = self._cache
-        if accumulate:
-            self.dgamma += (g * xhat).sum(axis=(0, 1, 2))
-            self.dbeta += g.sum(axis=(0, 1, 2))
-        dxhat = g * self.gamma
-        if not train:
-            return dxhat * ivar
         B, H, W, C = g.shape
-        n = B * H * W
-        s1 = dxhat.sum(axis=(0, 1, 2))
-        s2 = (dxhat * xhat).sum(axis=(0, 1, 2))
-        return (ivar / n) * (n * dxhat - s1 - xhat * s2)
+        g_rows = _rows(g)
+        if accumulate or train:
+            s1 = _channel_sum(g_rows, C)
+            s2 = _channel_sum(g_rows * xhat, C)
+        if accumulate:
+            self.dgamma += s2
+            self.dbeta += s1
+        scale = self.gamma * ivar
+        dx = g_rows * np.tile(scale, W)
+        if train:
+            n = B * H * W
+            dx -= xhat * np.tile(scale * s2 / n, W)
+            dx -= np.tile(scale * s1 / n, W)
+        return dx.reshape(g.shape)
 
 
 def _sigmoid(z):
@@ -279,18 +318,15 @@ class Denoiser:
         return h + y_t
 
     def backward(self, upstream):
-        """Accumulate parameter gradients; returns the gradient w.r.t. the
-        assembled input channels."""
+        """Accumulate parameter gradients. The input gradient is not formed:
+        nothing upstream of the denoiser has parameters."""
         if not self._cached:
             raise RuntimeError("denoiser backward without cached forward")
-        res = g = np.asarray(upstream, dtype=self.dtype)
+        g = np.asarray(upstream, dtype=self.dtype)
         for i in reversed(range(len(self.convs))):
             if i < len(self.relus):
                 g = self.relus[i].backward(g)
-            g = self.convs[i].backward(g)
-        g = g.copy()
-        g[..., :2] += res
-        return g
+            g = self.convs[i].backward(g, input_grad=i > 0)
 
 
 class Discriminator:
@@ -330,7 +366,8 @@ class Discriminator:
             h = conv.forward(h, keep_cache)
             h = relu.forward(h, keep_cache)
             h = bn.forward(h, train, keep_cache, update_running)
-        pooled = h.mean(axis=(1, 2))
+        B, H, W, C = h.shape
+        pooled = np.ones(H * W, h.dtype) @ h.reshape(B, H * W, C) / (H * W)
         z = pooled @ self.head_w + self.head_b[0]
         score = _sigmoid(z)
         if keep_cache:
@@ -348,8 +385,8 @@ class Discriminator:
             self.head_dw += pooled.T @ dz
             self.head_db += dz.sum()
         B, H, W, C = hshape
-        g = (dz[:, None] * self.head_w[None, :])[:, None, None, :] / (H * W)
-        g = np.broadcast_to(g, hshape).astype(self.dtype, copy=True)
+        g_row = dz[:, None] * np.tile(self.head_w, W) / (H * W)
+        g = np.repeat(g_row[:, None, :], H, axis=1).reshape(hshape)
         for conv, relu, bn in zip(reversed(self.convs), reversed(self.relus),
                                   reversed(self.bns)):
             g = bn.backward(g, accumulate)

@@ -344,11 +344,14 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
         mu, var = posterior_params_strided(y, y0_hat, t, s, sched)
         z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         y = mu + np.sqrt(var) * z
-        if not np.all(np.isfinite(y.real)):
+        if not np.all(np.isfinite(y)):
             raise FloatingPointError(f"non-finite sampler state at step {t}")
 
     final_ks = dc_project_kspace(y, measured_ks, sens, acquired)
-    return ReconResult(image=adjoint_op(final_ks, sens), model_calls=calls,
+    image = adjoint_op(final_ks, sens)
+    if not (np.all(np.isfinite(final_ks)) and np.all(np.isfinite(image))):
+        raise FloatingPointError("non-finite reconstruction")
+    return ReconResult(image=image, model_calls=calls,
                        wall_time=time.perf_counter() - t0,
                        config=cfg.to_dict(), final_kspace=final_ks)
 

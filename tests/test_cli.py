@@ -164,6 +164,25 @@ class TestTrain:
         last_c = (c / "logs" / "metrics.csv").read_text().strip().split("\n")[-1]
         assert last_a == last_c
 
+    def test_resume_refuses_mismatched_step_counts(self, undersampled, tmp_path, capsys):
+        flags = ("--hidden", "6", "--disc-width", "4", "--batch-size", "2",
+                 "--seed", "13", "--epochs", "2")
+        a = tmp_path / "a"
+        assert invoke("train", "--data", str(undersampled), "--out", str(a),
+                      "--max-steps", "2", *flags) == 0
+        ckpt = a / "checkpoints" / "final"
+        index = ckpt / "disc.index.json"
+        meta = json.loads(index.read_text())
+        meta["step"] = 1
+        index.write_text(json.dumps(meta))
+        capsys.readouterr()
+        out = tmp_path / "b"
+        assert invoke("train", "--data", str(undersampled), "--out", str(out),
+                      "--resume", str(ckpt), "--max-steps", "4", *flags) == 1
+        err = capsys.readouterr().err
+        assert "denoiser has 2 steps" in err and "discriminator has 1" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def recon_dirs(dataset, undersampled, trained, tmp_path_factory):

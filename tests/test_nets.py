@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from ssdiffmri.nets import (Denoiser, DenoiserSpec, Discriminator,
-                            DiscriminatorSpec, adam_step, load_state,
+from ssdiffmri.nets import (BN_EPS, Denoiser, DenoiserSpec, Discriminator,
+                            DiscriminatorSpec, ModelState, _BatchNorm,
+                            _channel_sum, _Conv3x3, adam_step, load_state,
                             save_state)
 
-RNG = np.random.default_rng(20240801)
 
-
-def fd_param_check(state, loss_fn, grads, n_probe=20, h=1e-6, rng=RNG):
+def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
     """Central finite differences on randomly probed parameters."""
     errs = []
     idx = rng.choice(state.params.size, n_probe, replace=False)
@@ -69,14 +68,16 @@ class TestSpecs:
 
 class TestDenoiser:
     def test_residual_identity_at_zero_weights(self, tiny_denoiser):
+        rng = np.random.default_rng(1)
         tiny_denoiser.state.params[:] = 0.0
-        y = RNG.standard_normal((2, 8, 8, 2))
+        y = rng.standard_normal((2, 8, 8, 2))
         out = tiny_denoiser.forward(y, np.array([0.1, 0.9]))
         np.testing.assert_array_equal(out, y)
 
     def test_eval_determinism(self, tiny_denoiser):
-        y = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
         t = np.array([0.2, 0.4])
         a = tiny_denoiser.forward(y, t, c)
         b = tiny_denoiser.forward(y, t, c)
@@ -84,16 +85,18 @@ class TestDenoiser:
 
     @pytest.mark.parametrize("size", [32, 64])
     def test_output_shape(self, tiny_denoiser, size):
-        y = RNG.standard_normal((1, size, size, 2))
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((1, size, size, 2))
         out = tiny_denoiser.forward(y, np.array([0.5]))
         assert out.shape == (1, size, size, 2)
 
     def test_param_gradients_match_fd(self, tiny_denoiser):
+        rng = np.random.default_rng(4)
         den = tiny_denoiser
-        y = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        y = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
         t = np.array([0.3, 0.7])
-        target = RNG.standard_normal((2, 8, 8, 2))
+        target = rng.standard_normal((2, 8, 8, 2))
 
         def loss():
             out = den.forward(y, t, c, train=True)
@@ -102,22 +105,25 @@ class TestDenoiser:
         out = den.forward(y, t, c, train=True, keep_cache=True)
         den.state.zero_grads()
         den.backward(out - target)
-        err = fd_param_check(den.state, loss, den.state.grads.copy(), n_probe=25)
+        err = fd_param_check(den.state, loss, den.state.grads.copy(), rng,
+                             n_probe=25)
         assert err < 1e-3
 
     def test_zero_upstream_zero_grads(self, tiny_denoiser):
+        rng = np.random.default_rng(5)
         den = tiny_denoiser
-        y = RNG.standard_normal((1, 8, 8, 2))
+        y = rng.standard_normal((1, 8, 8, 2))
         den.forward(y, np.array([0.5]), train=True, keep_cache=True)
         den.state.zero_grads()
         den.backward(np.zeros((1, 8, 8, 2)))
         assert np.all(den.state.grads == 0)
 
     def test_backward_linearity(self, tiny_denoiser):
+        rng = np.random.default_rng(6)
         den = tiny_denoiser
-        y = RNG.standard_normal((1, 8, 8, 2))
-        g1 = RNG.standard_normal((1, 8, 8, 2))
-        g2 = RNG.standard_normal((1, 8, 8, 2))
+        y = rng.standard_normal((1, 8, 8, 2))
+        g1 = rng.standard_normal((1, 8, 8, 2))
+        g2 = rng.standard_normal((1, 8, 8, 2))
         den.forward(y, np.array([0.5]), train=True, keep_cache=True)
         den.state.zero_grads()
         den.backward(g1)
@@ -128,6 +134,23 @@ class TestDenoiser:
         den.state.zero_grads()
         den.backward(g1 + g2)
         np.testing.assert_allclose(den.state.grads, a + b, atol=1e-10)
+
+    def test_first_conv_skips_its_input_gradient(self, tiny_denoiser):
+        # nothing reads the gradient w.r.t. the assembled input, so the
+        # first conv forms only its parameter gradients
+        rng = np.random.default_rng(19)
+        den = tiny_denoiser
+        den.forward(rng.standard_normal((2, 8, 8, 2)), np.array([0.2, 0.6]),
+                    train=True, keep_cache=True)
+        assert den.backward(rng.standard_normal((2, 8, 8, 2))) is None
+        conv0 = den.convs[0]
+        g = rng.standard_normal((2, 8, 8, conv0.cout))
+        den.state.zero_grads()
+        assert conv0.backward(g, input_grad=False) is None
+        skipped = den.state.grads.copy()
+        den.state.zero_grads()
+        assert conv0.backward(g).shape == (2, 8, 8, conv0.cin)
+        assert np.array_equal(den.state.grads, skipped)
 
     def test_backward_without_forward_raises(self, tiny_denoiser):
         with pytest.raises(RuntimeError):
@@ -140,28 +163,32 @@ class TestDenoiser:
 
 class TestDiscriminator:
     def test_zero_weights_score_half(self, tiny_disc):
+        rng = np.random.default_rng(7)
         tiny_disc.state.params[:] = 0.0
-        s = RNG.standard_normal((3, 8, 8, 2))
-        c = RNG.standard_normal((3, 8, 8, 2))
+        s = rng.standard_normal((3, 8, 8, 2))
+        c = rng.standard_normal((3, 8, 8, 2))
         np.testing.assert_array_equal(tiny_disc.forward(s, c), 0.5)
 
     def test_scores_strictly_inside_unit_interval(self, tiny_disc):
+        rng = np.random.default_rng(8)
         for trial in range(5):
-            s = 10 * RNG.standard_normal((2, 8, 8, 2))
-            c = 10 * RNG.standard_normal((2, 8, 8, 2))
+            s = 10 * rng.standard_normal((2, 8, 8, 2))
+            c = 10 * rng.standard_normal((2, 8, 8, 2))
             scores = tiny_disc.forward(s, c, train=trial % 2 == 0,
                                        update_running=False)
             assert np.all(scores > 0) and np.all(scores < 1)
 
     def test_eval_determinism(self, tiny_disc):
-        s = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        rng = np.random.default_rng(9)
+        s = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
         assert np.array_equal(tiny_disc.forward(s, c), tiny_disc.forward(s, c))
 
     def test_param_gradients_match_fd_train_mode(self, tiny_disc):
+        rng = np.random.default_rng(10)
         disc = tiny_disc
-        s = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        s = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
 
         def loss():
             sc = disc.forward(s, c, train=True, update_running=False)
@@ -170,20 +197,22 @@ class TestDiscriminator:
         sc = disc.forward(s, c, train=True, keep_cache=True, update_running=False)
         disc.state.zero_grads()
         disc.backward(-1.0 / sc)
-        err = fd_param_check(disc.state, loss, disc.state.grads.copy(), n_probe=25)
+        err = fd_param_check(disc.state, loss, disc.state.grads.copy(), rng,
+                             n_probe=25)
         assert err < 1e-3
 
     def test_input_gradient_matches_fd(self, tiny_disc):
+        rng = np.random.default_rng(11)
         # eval mode: frozen normalization makes the scores a per-sample
         # function, so coordinate-wise finite differences are well posed
         disc = tiny_disc
-        s = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        s = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
         g = disc.input_grad(s, c, train=False)
         h = 1e-5
         errs = []
         flat = s.ravel()
-        for i in RNG.choice(flat.size, 25, replace=False):
+        for i in rng.choice(flat.size, 25, replace=False):
             p0 = flat[i]
             flat[i] = p0 + h
             lp = float(np.sum(disc.forward(s, c)))
@@ -195,17 +224,20 @@ class TestDiscriminator:
         assert max(errs) < 1e-3
 
     def test_input_grad_zero_for_constant_disc(self, tiny_disc):
+        rng = np.random.default_rng(12)
         tiny_disc.state.params[:] = 0.0
-        s = RNG.standard_normal((2, 8, 8, 2))
+        s = rng.standard_normal((2, 8, 8, 2))
         g = tiny_disc.input_grad(s, s.copy())
         assert np.all(g == 0)
 
     def test_input_grad_shape(self, tiny_disc):
-        s = RNG.standard_normal((3, 8, 8, 2))
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal((3, 8, 8, 2))
         assert tiny_disc.input_grad(s, s.copy()).shape == s.shape
 
     def test_input_grad_leaves_param_grads_alone(self, tiny_disc):
-        s = RNG.standard_normal((2, 8, 8, 2))
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((2, 8, 8, 2))
         tiny_disc.state.zero_grads()
         tiny_disc.input_grad(s, s.copy(), train=True)
         assert np.all(tiny_disc.state.grads == 0)
@@ -222,9 +254,10 @@ class TestDiscriminator:
         assert np.array_equal(cached, tiny_disc.input_grad(s, c, train=True))
 
     def test_penalty_param_grads_match_fd(self, tiny_disc):
+        rng = np.random.default_rng(15)
         disc = tiny_disc
-        s = RNG.standard_normal((2, 8, 8, 2))
-        c = RNG.standard_normal((2, 8, 8, 2))
+        s = rng.standard_normal((2, 8, 8, 2))
+        c = rng.standard_normal((2, 8, 8, 2))
 
         def penalty():
             g = disc.input_grad(s, c)
@@ -234,11 +267,12 @@ class TestDiscriminator:
         gi = disc.input_grad(s, c)
         disc.penalty_param_grads(s, c, gi, scale=1.0, h=1e-4)
         grads = disc.state.grads.copy()
-        err = fd_param_check(disc.state, penalty, grads, n_probe=12, h=1e-5)
+        err = fd_param_check(disc.state, penalty, grads, rng, n_probe=12, h=1e-5)
         assert err < 1e-2  # finite-difference-of-backward approximation
 
     def test_running_stats_update_only_when_asked(self, tiny_disc):
-        s = RNG.standard_normal((2, 8, 8, 2))
+        rng = np.random.default_rng(16)
+        s = rng.standard_normal((2, 8, 8, 2))
         before = {k: v.copy() for k, v in tiny_disc.state.buffers.items()}
         tiny_disc.forward(s, s.copy(), train=True, update_running=False)
         for k in before:
@@ -246,6 +280,113 @@ class TestDiscriminator:
         tiny_disc.forward(s, s.copy(), train=True, update_running=True)
         assert any(not np.array_equal(tiny_disc.state.buffers[k], before[k])
                    for k in before)
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(np.asarray(got, np.float64) - want)) / np.max(np.abs(want)))
+
+
+def _textbook_bn(x, g, gamma, beta, mean, var, train):
+    """Batch norm forward and backward from the defining formulas, in float64."""
+    x, g = x.astype(np.float64), g.astype(np.float64)
+    gamma, beta = gamma.astype(np.float64), beta.astype(np.float64)
+    axes = (0, 1, 2)
+    if train:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+    ivar = 1.0 / np.sqrt(np.asarray(var, np.float64) + BN_EPS)
+    xhat = (x - mean) * ivar
+    y = gamma * xhat + beta
+    dgamma, dbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    if train:
+        n = x.size // x.shape[-1]
+        dx = gamma * ivar / n * (n * g - dbeta - xhat * dgamma)
+    else:
+        dx = g * gamma * ivar
+    return y, dx, dgamma, dbeta
+
+
+class TestChannelOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("C", [1, 2, 10, 24])
+    @pytest.mark.parametrize("W", [1, 8])
+    def test_channel_sum_is_the_sum_over_leading_axes(self, dtype, C, W):
+        x = np.random.default_rng(C * W).standard_normal((3, 5, W, C)).astype(dtype)
+        got = _channel_sum(x, C)
+        assert got.shape == (C,) and got.dtype == dtype
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, x.astype(np.float64).sum(axis=(0, 1, 2)),
+                                   rtol=rtol, atol=rtol * np.sqrt(x.size))
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batch_norm_matches_the_textbook_formula(self, dtype, rtol, train):
+        rng = np.random.default_rng(20)
+        C = 10
+        state = ModelState(2 * C, dtype)
+        bn = _BatchNorm(state, "bn", C)
+        bn.gamma[:] = rng.uniform(0.5, 1.5, C)
+        bn.beta[:] = rng.standard_normal(C)
+        bn.run_mean[:] = rng.standard_normal(C)
+        bn.run_var[:] = rng.uniform(0.5, 2.0, C)
+        # a ReLU output: non-negative, with a non-zero mean per channel
+        x = np.maximum(rng.standard_normal((4, 16, 16, C)), 0.0).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        want = _textbook_bn(x, g, bn.gamma, bn.beta, bn.run_mean.copy(),
+                            bn.run_var.copy(), train)
+        y = bn.forward(x, train, keep_cache=True, update_running=False)
+        dx = bn.backward(g, accumulate=True)
+        assert y.dtype == dx.dtype == dtype
+        assert y.shape == dx.shape == x.shape
+        for got, ref in zip((y, dx, bn.dgamma, bn.dbeta), want):
+            assert _rel_err(got, ref) <= rtol
+
+    def test_batch_norm_updates_running_stats_with_batch_stats(self):
+        rng = np.random.default_rng(21)
+        bn = _BatchNorm(ModelState(8, np.float64), "bn", 4)
+        x = rng.standard_normal((2, 6, 6, 4)) + 3.0
+        bn.forward(x, train=True, keep_cache=False)
+        np.testing.assert_allclose(bn.run_mean, 0.1 * x.mean(axis=(0, 1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(bn.run_var, 0.9 + 0.1 * x.var(axis=(0, 1, 2)),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_batch_norm_input_gradient_matches_fd(self, train):
+        rng = np.random.default_rng(22)
+        C = 3
+        bn = _BatchNorm(ModelState(2 * C, np.float64), "bn", C)
+        bn.gamma[:] = rng.uniform(0.5, 1.5, C)
+        bn.beta[:] = rng.standard_normal(C)
+        bn.run_mean[:] = rng.standard_normal(C)
+        bn.run_var[:] = rng.uniform(0.5, 2.0, C)
+        x = rng.standard_normal((2, 4, 5, C))
+        r = rng.standard_normal(x.shape)
+
+        def loss():
+            return float(np.sum(r * bn.forward(x, train, keep_cache=False,
+                                               update_running=False)))
+
+        bn.forward(x, train, keep_cache=True, update_running=False)
+        dx = bn.backward(r, accumulate=False)
+        h = 1e-6
+        flat = x.ravel()
+        for i in rng.choice(flat.size, 20, replace=False):
+            p0 = flat[i]
+            flat[i] = p0 + h
+            lp = loss()
+            flat[i] = p0 - h
+            lm = loss()
+            flat[i] = p0
+            assert (lp - lm) / (2 * h) == pytest.approx(dx.ravel()[i], rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_forward_is_bitwise_the_gemm_plus_bias(self, dtype):
+        rng = np.random.default_rng(23)
+        state = ModelState(9 * 5 * 7 + 7, dtype)
+        conv = _Conv3x3(state, "conv", 5, 7, rng)
+        conv.b[:] = rng.standard_normal(7)
+        x = rng.standard_normal((2, 6, 9, 5)).astype(dtype)
+        want = (conv._im2col(x) @ conv.w + conv.b).reshape(2, 6, 9, 7)
+        assert conv.forward(x, keep_cache=False).tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -266,9 +407,10 @@ class TestAdam:
         np.testing.assert_array_equal(den.state.params, before)
 
     def test_deterministic_updates(self):
+        rng = np.random.default_rng(17)
         a = Denoiser(DenoiserSpec(channels=(5, 4, 2)), seed=7)
         b = Denoiser(DenoiserSpec(channels=(5, 4, 2)), seed=7)
-        g = RNG.standard_normal(a.state.params.size)
+        g = rng.standard_normal(a.state.params.size)
         a.state.grads[:] = g
         b.state.grads[:] = g
         adam_step(a.state, lr=1e-3)
@@ -285,9 +427,10 @@ class TestAdam:
 
 class TestCheckpoint:
     def test_round_trip_exact_at_training_dtype(self, tmp_path):
+        rng = np.random.default_rng(18)
         # float32 states round-trip bit-exactly through the c64 container
         disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=np.float32)
-        s = RNG.standard_normal((2, 8, 8, 2)).astype(np.float32)
+        s = rng.standard_normal((2, 8, 8, 2)).astype(np.float32)
         disc.forward(s, s.copy(), train=True, keep_cache=True)
         disc.backward(np.ones(2, np.float32))
         adam_step(disc.state, lr=1e-3)

@@ -6,6 +6,7 @@ from ssdiffmri.kspace import EncodingOperator, encode, ifft2c, zero_filled
 from ssdiffmri.losses import recon_loss_masked
 from ssdiffmri.masks import apply_mask, make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, ssim
+from ssdiffmri import pipeline
 from ssdiffmri.nets import Denoiser
 from ssdiffmri.pipeline import (ReconResult, SliceData, TrainConfig, Trainer,
                                 build_models, channels_to_complex,
@@ -398,6 +399,48 @@ class TestReconstruct:
         assert np.array_equal(res.final_kspace[..., cols], meas[..., cols])
         assert isinstance(res, ReconResult)
         assert res.model_calls >= 1
+
+
+    def _two_step_problem(self):
+        # grid [50, 25]: the second step is the last, which ends the loop
+        rows = 32
+        sens = generate_sensitivities(2, rows, rows, seed=6)
+        ph = generate_phantom(rows, rows, 5, seed=6)
+        om = make_random_mask(rows, 4, 0.06, seed=6)
+        meas = encode(ph, EncodingOperator(sens, om, rows, rows))
+        cfg = TrainConfig(R=4, rho=0.5, seed=0, stride_k=25, T=100, t_start=50)
+        return ph, meas, om, sens, cfg, make_schedule(cfg.T)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_last_prediction_raises(self, part):
+        ph, meas, om, sens, cfg, sched = self._two_step_problem()
+
+        class LastCallNaN(_TruthOracle):
+            calls = 0
+
+            def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+                out = super().forward(y_t, t_frac, cond)
+                self.calls += 1
+                if self.calls == 2:
+                    out[0, 3, 4, part] = np.nan   # channel 1: imaginary part
+                return out
+
+        with pytest.raises(FloatingPointError, match="non-finite reconstruction"):
+            reconstruct(meas, om, sens, LastCallNaN(ph), sched, cfg, seed=0)
+
+    def test_non_finite_imaginary_sampler_state_raises(self, monkeypatch):
+        ph, meas, om, sens, cfg, sched = self._two_step_problem()
+        posterior = pipeline.posterior_params_strided
+
+        def inf_imag_posterior(*args):
+            mu, var = posterior(*args)
+            mu = mu.copy()
+            mu[3, 4] = complex(1.0, np.inf)
+            return mu, var
+
+        monkeypatch.setattr(pipeline, "posterior_params_strided", inf_imag_posterior)
+        with pytest.raises(FloatingPointError, match="sampler state at step 50"):
+            reconstruct(meas, om, sens, _TruthOracle(ph), sched, cfg, seed=0)
 
 
 class TestEvaluateRun:
