@@ -102,14 +102,29 @@ def cmd_undersample(args):
     return 0
 
 
+def _parse_file(path, parse):
+    """`parse` applied to the text of `path`, with the path prefixed to any
+    ValueError it raises."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_undersampled(path):
-    with open(os.path.join(path, "meta.json")) as f:
-        meta = json.load(f)
+    meta_path = os.path.join(path, "meta.json")
+    meta = _parse_file(meta_path, json.loads)
+    if not (isinstance(meta, dict) and type(meta.get("dataset")) is str
+            and type(meta.get("R")) in (int, float)):
+        raise RuntimeError(f"{meta_path}: expected a JSON object with a string "
+                           "dataset and a numeric R")
     manifest, sens = _load_dataset(meta["dataset"])
     slices = []
     for i in range(len(manifest.slices)):
-        with open(os.path.join(path, "masks", f"slice_{i:04d}.mask.json")) as f:
-            mask = SamplingMask.from_json(f.read())
+        mask = _parse_file(os.path.join(path, "masks", f"slice_{i:04d}.mask.json"),
+                           SamplingMask.from_json)
         ks = tensorio.read_tensor(os.path.join(path, "kspace", f"slice_{i:04d}.cksp"))
         slices.append(SliceData(i, ks, mask))
     return meta, manifest, sens, slices
@@ -274,16 +289,31 @@ def cmd_eval(args):
     return 0
 
 
+_METRICS = ("nmse", "psnr", "ssim")
+
+
 def _read_metric_csv(path):
+    """Rows of an `eval` metrics CSV by slice id, metrics as floats; a
+    missing column or a row that does not parse raises ValueError."""
     rows = {}
     with open(path) as f:
         header = f.readline().strip().split(",")
-        for line in f:
+        missing = [c for c in ("slice", "method") + _METRICS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks the columns {missing}")
+        for n, line in enumerate(f, start=2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
+            if len(parts) != len(header):
+                raise ValueError(f"{path}, line {n}: {len(parts)} fields, "
+                                 f"the header has {len(header)}")
             rec = dict(zip(header, parts))
-            rows[int(rec["slice"])] = rec
+            try:
+                rows[int(rec["slice"])] = {"method": rec["method"],
+                                           **{m: float(rec[m]) for m in _METRICS}}
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {n}: {exc}") from exc
     return rows
 
 
@@ -302,8 +332,8 @@ def cmd_stats(args):
     out = _default_out(args, "stats_out")
     os.makedirs(out, exist_ok=True)
     results = {}
-    for metric in ("nmse", "psnr", "ssim"):
-        groups = {m: np.array([float(t[i][metric]) for i in sorted(common)])
+    for metric in _METRICS:
+        groups = {m: np.array([t[i][metric] for i in sorted(common)])
                   for m, t in tables.items()}
         res = compare_methods(groups)
         results[metric] = res.to_dict()

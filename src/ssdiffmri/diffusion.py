@@ -28,10 +28,6 @@ class NoiseSchedule:
         if np.any(np.asarray(t) < lowest) or np.any(np.asarray(t) > self.T):
             raise ValueError(f"step t={t} outside [{lowest}, {self.T}]")
 
-    def to_config(self):
-        return {"T": self.T, "beta_1": float(self.beta[1]),
-                "beta_T": float(self.beta[self.T]), "kind": "linear"}
-
 
 def make_schedule(T, beta_1=1e-4, beta_T=0.02):
     """Linear beta schedule from beta_1 to beta_T over T steps."""
@@ -128,26 +124,6 @@ def mu_from_prediction(y_t, y0_hat, t, sched, s=None):
         s = t - 1
     mu, _ = posterior_params_strided(y_t, y0_hat, t, s, sched)
     return mu
-
-
-def eps_y0_convert(y_t, value, t, sched, direction):
-    """Convert between the noise and clean-image parameterizations at step t.
-
-    ``direction="eps_to_y0"`` maps a noise tensor to the implied y0;
-    ``"y0_to_eps"`` is the inverse. Requires abar_t < 1.
-    """
-    sched.check_t(t)
-    _check_shapes(y_t, value, "eps_y0_convert")
-    ab = sched.alpha_bar[t]
-    if ab >= 1.0:
-        raise ValueError("conversion undefined at abar_t == 1")
-    y_t = np.asarray(y_t)
-    value = np.asarray(value)
-    if direction == "eps_to_y0":
-        return (y_t - np.sqrt(1.0 - ab) * value) / np.sqrt(ab)
-    if direction == "y0_to_eps":
-        return (y_t - np.sqrt(ab) * value) / np.sqrt(1.0 - ab)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def loss_weight(t, sched):

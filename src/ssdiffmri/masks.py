@@ -14,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _in_range(values, stop):
+    """Whether `values` is a list of integers in [0, stop)."""
+    return isinstance(values, list) and all(type(v) is int and 0 <= v < stop
+                                            for v in values)
+
+
 @dataclass(frozen=True)
 class SamplingMask:
     """Boolean per-column sampling pattern with an always-on center block."""
@@ -59,10 +65,19 @@ class SamplingMask:
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; a missing field, or a center or column
+        that is not an integer in range, raises ValueError."""
         d = json.loads(text)
-        sampled = np.zeros(d["width"], dtype=bool)
-        sampled[d["sampled"]] = True
-        return cls(d["width"], sampled, tuple(d["center"]))
+        if not isinstance(d, dict) or not {"width", "center", "sampled"} <= d.keys():
+            raise ValueError("a mask needs the fields width, center and sampled")
+        width, center, cols = d["width"], d["center"], d["sampled"]
+        if not (type(width) is int and _in_range(center, width + 1)
+                and len(center) == 2 and _in_range(cols, width)):
+            raise ValueError(f"need center in [0, width] and sampled in [0, width), got "
+                             f"width {width!r}, center {center!r}, sampled {cols!r}")
+        sampled = np.zeros(width, dtype=bool)
+        sampled[cols] = True
+        return cls(width, sampled, tuple(center))
 
 
 @dataclass(frozen=True)
@@ -73,35 +88,8 @@ class MaskPartition:
     center block only.
     """
 
-    acquired: SamplingMask
     train: SamplingMask
     loss: SamplingMask
-    rho: float
-    seed: int
-
-    def to_json(self):
-        return json.dumps({
-            "width": self.acquired.width,
-            "center": list(self.acquired.center),
-            "sampled": self.acquired.indices().tolist(),
-            "train": self.train.indices().tolist(),
-            "loss": self.loss.indices().tolist(),
-            "rho": self.rho,
-            "seed": self.seed,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        width, center = d["width"], tuple(d["center"])
-
-        def mk(idx):
-            s = np.zeros(width, dtype=bool)
-            s[idx] = True
-            return SamplingMask(width, s, center)
-
-        return cls(mk(d["sampled"]), mk(d["train"]), mk(d["loss"]),
-                   d["rho"], d["seed"])
 
 
 def center_range(width, center_fraction):
@@ -168,11 +156,8 @@ def partition_mask(acquired, rho, seed=0):
     loss[lo:hi] = True
 
     return MaskPartition(
-        acquired=acquired,
         train=SamplingMask(acquired.width, train, acquired.center),
         loss=SamplingMask(acquired.width, loss, acquired.center),
-        rho=rho,
-        seed=seed,
     )
 
 

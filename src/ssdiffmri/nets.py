@@ -6,7 +6,9 @@ all the Adam update needs. Gradient correctness is pinned by central
 finite-difference tests.
 
 Activations are channels-last (batch, rows, cols, channels); that keeps the
-im2col gather contiguous, which dominates the runtime otherwise.
+im2col gather contiguous, which dominates the runtime otherwise. A conv's
+backward reuses its forward primitive: its input gradient is the im2col of
+the output gradient times the flipped kernel.
 
 Rule: per-channel work never runs on rows C elements long. With 2-32
 channels innermost, numpy's inner loop would do almost nothing per call, so
@@ -72,9 +74,6 @@ class ModelState:
                     f"non-finite {which} in parameter block {blk.name!r}"
                 )
 
-    def require_finite_grads(self):
-        self.require_finite("grads")
-
 
 def _channel_sum(x, channels):
     """Per-channel sum of channel-innermost `x` (any leading shape, `_rows`
@@ -118,13 +117,13 @@ class _Conv3x3:
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * C)
 
     def forward(self, x, keep_cache):
-        B, H, W, C = x.shape
+        B, H, W, _ = x.shape
         cols = self._im2col(x)
         out = (cols @ self.w).reshape(B, H, W, self.cout)
         out_rows = _rows(out)
         out_rows += np.tile(self.b, W)
         if keep_cache:
-            self._cache = (cols, (B, H, W, C))
+            self._cache = cols
         return out
 
     def backward(self, g, accumulate=True, input_grad=True):
@@ -132,23 +131,18 @@ class _Conv3x3:
         the input gradient, or None when `input_grad` is false."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
-        cols, (B, H, W, C) = self._cache
-        gmat = g.reshape(B * H * W, self.cout)
+        cols = self._cache
+        gmat = g.reshape(-1, self.cout)
         if accumulate:
             self.dw += cols.T @ gmat
             self.db += _channel_sum(gmat, self.cout)
         if not input_grad:
             return None
-        # column gradients tap-major, (3, 3, B, H, W, C): one GEMM per tap
-        # against that tap's (C, cout) weight rows, so every tap's scatter
-        # below adds a contiguous image instead of a C-wide strided slice
-        w_taps = self.w.reshape(9, C, self.cout)
-        dcols = np.matmul(gmat, w_taps.transpose(0, 2, 1)).reshape(3, 3, B, H, W, C)
-        dxp = np.zeros((B, H + 2, W + 2, C), dtype=g.dtype)
-        for i in range(3):
-            for j in range(3):
-                dxp[:, i:i + H, j:j + W, :] += dcols[i, j]
-        return dxp[:, 1:H + 1, 1:W + 1, :]
+        # the transpose of a same-padded 3x3 conv is the same conv of g with
+        # the kernel flipped in both spatial axes and cin, cout swapped
+        w_flip = (self.w.reshape(3, 3, self.cin, self.cout)[::-1, ::-1]
+                  .transpose(0, 1, 3, 2).reshape(9 * self.cout, self.cin))
+        return (self._im2col(g) @ w_flip).reshape(g.shape[:-1] + (self.cin,))
 
 
 class _ReLU:
@@ -428,7 +422,7 @@ class Discriminator:
 
 def adam_step(state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected Adam update in place; gradients are zeroed afterward."""
-    state.require_finite_grads()
+    state.require_finite("grads")
     state.step += 1
     g = state.grads
     state.m *= beta1

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,7 +124,16 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        """Parse ``to_json`` output; a missing, unknown or mistyped field
+        raises ValueError."""
+        try:
+            manifest = cls(**json.loads(text))
+        except TypeError as exc:  # not an object, or a missing or unknown field
+            raise ValueError(f"not a dataset manifest: {exc}") from exc
+        wrong = [f.name for f in fields(cls) if type(getattr(manifest, f.name)) is not f.type]
+        if wrong or not all(type(p) is str for p in manifest.slices):
+            raise ValueError(f"wrong type in the manifest fields {wrong or ['slices']}")
+        return manifest
 
     def save(self, path):
         with open(path, "w") as f:
@@ -133,7 +142,11 @@ class DatasetManifest:
     @classmethod
     def load(cls, path):
         with open(path) as f:
-            return cls.from_json(f.read())
+            text = f.read()
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def validate(self, root):
         """Check every referenced file exists under `root`."""

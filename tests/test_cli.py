@@ -294,6 +294,49 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "bogus_knob" in err and "overrides.json" in err
 
+    @pytest.mark.parametrize("target,edit", [
+        ("meta.json", lambda d: d.pop("dataset")),
+        ("meta.json", lambda d: d.update(R="four")),
+        ("manifest.json", lambda d: d.update(bogus=1)),
+        ("manifest.json", lambda d: d.update(slices=5)),
+        ("slice_0003.mask.json", lambda d: d.pop("sampled")),
+        ("slice_0003.mask.json", lambda d: d["sampled"].append(d["width"])),
+        ("slice_0003.mask.json", lambda d: d["sampled"].append(1.5)),
+        ("slice_0003.mask.json", lambda d: d["sampled"].append(-1)),
+    ], ids=["meta-no-dataset", "meta-r-not-number", "manifest-unknown-key",
+            "manifest-slices-not-list", "mask-no-sampled",
+            "mask-column-at-width", "mask-column-not-integer", "mask-column-negative"])
+    def test_malformed_sidecar_exits_1_naming_file(self, dataset, undersampled, tmp_path,
+                                                   capsys, target, edit):
+        data, under = tmp_path / "data", tmp_path / "under"
+        shutil.copytree(dataset, data)
+        shutil.copytree(undersampled, under)
+        meta = json.loads((under / "meta.json").read_text())
+        (under / "meta.json").write_text(json.dumps({**meta, "dataset": str(data)}))
+        path = {"meta.json": under / "meta.json", "manifest.json": data / "manifest.json"
+                }.get(target, under / "masks" / target)
+        content = json.loads(path.read_text())
+        edit(content)
+        path.write_text(json.dumps(content))
+        assert invoke("zerofill", "--data", str(under), "--out", str(tmp_path / "zf")) == 1
+        assert target in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["slice", "psnr"])
+    def test_stats_csv_without_column_exits_1_naming_file(self, dataset, recon_dirs,
+                                                           tmp_path, capsys, column):
+        ev = tmp_path / "ev"
+        for m in ("a", "b"):
+            assert invoke("eval", "--recon", str(recon_dirs[0]), "--truth", str(dataset),
+                          "--method", m, "--n-boot", "50", "--out", str(ev)) == 0
+        lines = [line.split(",") for line in
+                 (ev / "b.metrics.csv").read_text().strip().split("\n")]
+        drop = lines[0].index(column)
+        (ev / "b.metrics.csv").write_text(
+            "\n".join(",".join(f[:drop] + f[drop + 1:]) for f in lines) + "\n")
+        assert invoke("stats", str(ev / "a.metrics.csv"), str(ev / "b.metrics.csv"),
+                      "--out", str(tmp_path / "s")) == 1
+        assert "b.metrics.csv" in capsys.readouterr().err
+
     def _old_run(self, trained, tmp_path, **retired):
         run_dir = tmp_path / "old_run"
         shutil.copytree(trained, run_dir)

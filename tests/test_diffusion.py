@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssdiffmri.diffusion import (eps_y0_convert, forward_step, loss_weight,
+from ssdiffmri.diffusion import (forward_step, loss_weight,
                                  make_schedule, mu_from_prediction,
                                  posterior_params, posterior_params_strided,
                                  sample_forward_jump, sample_yt)
@@ -56,10 +56,6 @@ class TestSchedule:
             make_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):
             make_schedule(10, 0.03, 0.02)
-
-    def test_config_round_trip(self, sched100):
-        cfg = sched100.to_config()
-        assert cfg == {"T": 100, "beta_1": 1e-4, "beta_T": 0.02, "kind": "linear"}
 
 
 class TestForward:
@@ -206,34 +202,6 @@ class TestMuFromPrediction:
         rhs = (a * (mu_from_prediction(yt, u, 15, sched100) - shared)
                + b * (mu_from_prediction(yt, v, 15, sched100) - shared) + shared)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestEpsY0Convert:
-    def test_round_trip(self, sched100):
-        rng = np.random.default_rng(6)
-        yt = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        eps = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        y0 = eps_y0_convert(yt, eps, 40, sched100, "eps_to_y0")
-        back = eps_y0_convert(yt, y0, 40, sched100, "y0_to_eps")
-        assert np.max(np.abs(back - eps)) < 1e-10
-
-    def test_zero_eps(self, sched100):
-        yt = np.array([1.0, -1.0])
-        np.testing.assert_allclose(
-            eps_y0_convert(yt, np.zeros(2), 12, sched100, "eps_to_y0"),
-            yt / np.sqrt(sched100.alpha_bar[12]), rtol=1e-12)
-
-    def test_consistency_with_sample_yt(self, sched100):
-        rng = np.random.default_rng(7)
-        y0 = rng.standard_normal(8)
-        eps = rng.standard_normal(8)
-        yt = sample_yt(y0, 33, eps, sched100)
-        rec = eps_y0_convert(yt, eps, 33, sched100, "eps_to_y0")
-        assert np.max(np.abs(rec - y0)) < 1e-10
-
-    def test_bad_direction(self, sched100):
-        with pytest.raises(ValueError):
-            eps_y0_convert(np.zeros(2), np.zeros(2), 5, sched100, "sideways")
 
 
 class TestLossWeight:

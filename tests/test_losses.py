@@ -89,7 +89,7 @@ class TestReconLossUpsilon:
     def test_single_column_oracle(self, sched):
         part, eps = self._setup(seed=3)
         col = int(part.loss.outer_indices()[0])
-        width = part.acquired.width
+        width = part.loss.width
         diff_k = np.zeros((width, width), complex)
         diff_k[:, col] = 2.0 - 1.0j
         pred = eps + ifft2c(diff_k)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdiffmri.masks import (MaskPartition, SamplingMask, apply_mask,
+from ssdiffmri.masks import (SamplingMask, apply_mask,
                              center_range, make_random_mask, partition_mask)
 
 
@@ -121,14 +121,6 @@ class TestPartition:
         for rho in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 partition_mask(acquired, rho)
-
-    def test_json_round_trip(self):
-        acquired = make_random_mask(64, 4, 0.04, seed=3)
-        part = partition_mask(acquired, 0.3, seed=4)
-        back = MaskPartition.from_json(part.to_json())
-        assert np.array_equal(back.train.sampled, part.train.sampled)
-        assert np.array_equal(back.loss.sampled, part.loss.sampled)
-        assert back.rho == part.rho
 
 
 class TestApplyMask:

@@ -388,6 +388,27 @@ class TestChannelOps:
         want = (conv._im2col(x) @ conv.w + conv.b).reshape(2, 6, 9, 7)
         assert conv.forward(x, keep_cache=False).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cin,cout", [(4, 10), (10, 10), (24, 24), (24, 2)])
+    def test_conv_input_gradient_is_the_adjoint(self, cin, cout):
+        """<conv(x) - b, g> == <x, backward(g)> on a non-square image, and the
+        float32 input gradient agrees with the float64 one."""
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 6, 9, cin))
+        g = rng.standard_normal((2, 6, 9, cout))
+        b = rng.standard_normal(cout)
+        dx = {}
+        for dtype in (np.float64, np.float32):
+            conv = _Conv3x3(ModelState(9 * cin * cout + cout, dtype), "conv", cin, cout,
+                            np.random.default_rng(25))
+            conv.b[:] = b
+            y = conv.forward(x.astype(dtype), keep_cache=True) - conv.b
+            dx[dtype] = conv.backward(g.astype(dtype), accumulate=False)
+            assert dx[dtype].shape == x.shape and dx[dtype].dtype == dtype
+            if dtype == np.float64:
+                lhs, rhs = np.vdot(y, g), np.vdot(x, dx[dtype])
+                assert abs(lhs - rhs) <= 1e-12 * (np.abs(y).ravel() @ np.abs(g).ravel())
+        assert _rel_err(dx[np.float32], dx[np.float64]) <= 1e-5
+
 
 class TestAdam:
     def test_first_step_bias_corrected(self):
