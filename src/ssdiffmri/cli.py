@@ -21,7 +21,7 @@ from .kspace import EncodingOperator, add_measurement_noise, encode, zero_filled
 from .masks import SamplingMask, apply_mask, make_random_mask
 from .losses import LossReport
 from .pipeline import SliceData, TrainConfig, Trainer, build_models, evaluate_run, reconstruct
-from .nets import load_state, save_state
+from .nets import load_checkpoint, save_checkpoint
 from .stats import compare_methods
 
 OUT_ROOT_ENV = "SSDIFFMRI_OUT"
@@ -133,7 +133,8 @@ def _load_undersampled(path):
 # options that config.json files of earlier runs still carry; each is
 # accepted only at the one value it may take now
 _RETIRED_OPTIONS = {"dc_mode": "measured_outside",
-                    "rho_convention": "fraction_of_acquired"}
+                    "rho_convention": "fraction_of_acquired",
+                    "center_fraction": 0.04}
 
 
 def _config_from_dict(values, source, base=None):
@@ -147,13 +148,14 @@ def _config_from_dict(values, source, base=None):
                                f"(only {only!r} is supported)")
     try:
         return TrainConfig(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise RuntimeError(f"{source}: {exc}") from exc
 
 
-def _train_config_from_args(args, meta):
-    cfg = TrainConfig(R=meta["R"], seed=args.seed,
+def _train_config_from_args(args, meta, meta_path):
+    cfg = TrainConfig(seed=args.seed,
                       **{name: getattr(args, name) for name in _TRAIN_FLAGS})
+    cfg = _config_from_dict({"R": meta["R"]}, meta_path, base=cfg.to_dict())
     if args.config:
         with open(args.config) as f:
             cfg = _config_from_dict(json.load(f), args.config, base=cfg.to_dict())
@@ -162,15 +164,10 @@ def _train_config_from_args(args, meta):
 
 def cmd_train(args):
     meta, manifest, sens, slices = _load_undersampled(args.data)
-    cfg = _train_config_from_args(args, meta)
+    cfg = _train_config_from_args(args, meta, os.path.join(args.data, "meta.json"))
     den, disc = build_models(cfg)
     if args.resume:
-        load_state(den.state, args.resume, "denoiser")
-        load_state(disc.state, args.resume, "disc")
-        if den.state.step != disc.state.step:
-            raise RuntimeError(
-                f"{args.resume}: denoiser has {den.state.step} steps but the "
-                f"discriminator has {disc.state.step}; not a checkpoint of one run")
+        load_checkpoint(args.resume, den.state, disc.state)
 
     out = _default_out(args, "train_out")
     _prepare_out(out, args.force)
@@ -180,15 +177,10 @@ def cmd_train(args):
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
 
     trainer = Trainer(den, disc, sens, cfg)
-    trainer.global_step = den.state.step
-
     log_path = os.path.join(out, "logs", "metrics.csv")
-    ckpt_dir = os.path.join(out, "checkpoints")
 
     def save(tag):
-        d = os.path.join(ckpt_dir, tag)
-        save_state(den.state, d, "denoiser")
-        save_state(disc.state, d, "disc")
+        save_checkpoint(os.path.join(out, "checkpoints", tag), den.state, disc.state)
 
     with open(log_path, "a" if args.resume else "w") as logf:
         if not args.resume:
@@ -214,9 +206,7 @@ def _load_models_for_recon(run_dir):
     with open(path) as f:
         cfg = _config_from_dict(json.load(f), path)
     den, disc = build_models(cfg)
-    ckpt = os.path.join(run_dir, "checkpoints", "final")
-    load_state(den.state, ckpt, "denoiser")
-    load_state(disc.state, ckpt, "disc")
+    load_checkpoint(os.path.join(run_dir, "checkpoints", "final"), den.state, disc.state)
     return cfg, den, disc
 
 

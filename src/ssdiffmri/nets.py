@@ -19,6 +19,7 @@ W times (``np.tile(v, W)``).
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,20 @@ class ModelState:
 
     def zero_grads(self):
         self.grads[:] = 0.0
+
+    def snapshot(self):
+        """Copies of everything an update changes: params, Adam moments,
+        buffers and the step count."""
+        arrays = (self.params, self.m, self.v, *self.buffers.values())
+        return [a.copy() for a in arrays], self.step
+
+    def restore(self, snap):
+        """Return in place to a `snapshot` (the layers keep their views),
+        with zero gradients."""
+        arrays, self.step = snap
+        for dst, src in zip((self.params, self.m, self.v, *self.buffers.values()), arrays):
+            dst[...] = src
+        self.zero_grads()
 
     def require_finite(self, which="grads"):
         arr = getattr(self, which)
@@ -458,16 +473,59 @@ def save_state(state, directory, prefix):
         json.dump(index, f, indent=2, sort_keys=True)
 
 
+def _read_into(view, path):
+    """Fill `view` from the CKSP tensor at `path`; ValueError naming the
+    file when the shapes differ."""
+    t = tensorio.read_tensor(path)
+    if t.shape != view.shape:
+        raise ValueError(f"{path}: holds shape {t.shape}, the model has {view.shape}")
+    view[...] = t.real
+
+
 def load_state(state, directory, prefix):
-    """Restore parameters, moments, buffers, and the step counter in place."""
-    with open(os.path.join(directory, f"{prefix}.index.json")) as f:
-        index = json.load(f)
+    """Restore parameters, moments, buffers, and the step counter in place;
+    a file that does not fit the state raises ValueError naming it."""
+    path = os.path.join(directory, f"{prefix}.index.json")
+    with open(path) as f:
+        try:
+            step = json.load(f)["step"]
+        except (ValueError, KeyError, TypeError):
+            step = None
+    if type(step) is not int or step < 0:
+        raise ValueError(f"{path}: not a checkpoint index with a step count")
     for blk in state.blocks:
         for which, suffix in _BLOCK_FILES:
-            t = tensorio.read_tensor(
-                os.path.join(directory, f"{prefix}.{blk.name}{suffix}.cksp"))
-            getattr(state, which)[blk.start:blk.stop].reshape(blk.shape)[...] = t.real
-    for name in state.buffers:
-        t = tensorio.read_tensor(os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
-        state.buffers[name][...] = t.real
-    state.step = int(index["step"])
+            _read_into(getattr(state, which)[blk.start:blk.stop].reshape(blk.shape),
+                       os.path.join(directory, f"{prefix}.{blk.name}{suffix}.cksp"))
+    for name, buf in state.buffers.items():
+        _read_into(buf, os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
+    state.step = step
+
+
+_PREFIXES = ("denoiser", "disc")  # file-name prefixes of the nets in a checkpoint
+
+
+def save_checkpoint(directory, den_state, disc_state):
+    """Publish both nets' states as one checkpoint directory, complete or
+    not at all: the files go into the sibling ``<directory>.tmp`` (a stale
+    one is cleared first), which is renamed onto `directory` (OSError if
+    that is a non-empty directory) or removed when a write fails."""
+    tmp = os.path.normpath(directory) + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        for prefix, state in zip(_PREFIXES, (den_state, disc_state)):
+            save_state(state, tmp, prefix)
+        os.replace(tmp, directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
+def load_checkpoint(directory, den_state, disc_state):
+    """Restore both nets; RuntimeError unless their step counts agree."""
+    for prefix, state in zip(_PREFIXES, (den_state, disc_state)):
+        load_state(state, directory, prefix)
+    if den_state.step != disc_state.step:
+        raise RuntimeError(
+            f"{directory}: denoiser has {den_state.step} steps but the "
+            f"discriminator has {disc_state.step}; not a checkpoint of one run")

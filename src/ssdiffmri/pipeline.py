@@ -12,8 +12,9 @@ noised zero-filled image, applying data consistency with the full acquired
 mask at every step.
 """
 
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class TrainConfig:
     stride_k: int = 25
     adv_weight: float = 0.1
     init_noise_var: float = 0.1
-    center_fraction: float = 0.04
     seed: int = 0
     beta_1: float = 1e-4
     beta_T: float = 0.02
@@ -63,16 +63,32 @@ class TrainConfig:
     checkpoint_every: int = 500
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
-        for name in ("R", "lr", "batch_size", "epochs", "T", "stride_k",
-                     "init_noise_var", "center_fraction"):
-            if getattr(self, name) <= 0 and name != "init_noise_var":
+        for name in ("R", "lr", "batch_size", "epochs", "T", "stride_k", "hidden",
+                     "disc_width"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("init_noise_var", "adv_weight", "seed", "max_steps",
+                     "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.stride_k < 2 or 2 * self.stride_k > self.T:
             raise ValueError("stride_k must satisfy 2 <= k and 2k <= T")
         if self.T % self.stride_k != 0:
             raise ValueError("stride_k must divide T so the step grid is regular")
+        if not 0 <= self.t_start <= self.T:
+            raise ValueError(f"t_start must lie in [0, T={self.T}]")
+        make_schedule(self.T, self.beta_1, self.beta_T)  # checks the beta bounds
 
     @property
     def train_grid(self):
@@ -182,7 +198,11 @@ class Trainer:
         self.sens = np.asarray(sens, dtype=np.complex128)
         self.cfg = cfg
         self.sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
-        self.global_step = 0
+
+    @property
+    def global_step(self):
+        """Completed training steps: the denoiser's Adam step count."""
+        return self.denoiser.state.step
 
     def _rng(self, *tags):
         return np.random.default_rng([self.cfg.seed & 0x7FFFFFFF, *tags])
@@ -194,7 +214,22 @@ class Trainer:
         stream ``[seed, 1, slice_id, step]`` (and the posterior noise from
         ``[seed, 2, slice_id, step]``); everything after the draws runs on
         the whole batch at once.
+
+        A step is all or nothing: if it raises, both nets are restored to
+        their state before it (params, Adam moments, buffers and step
+        counts, so global_step too) with zero gradients, and the exception
+        propagates.
         """
+        states = (self.denoiser.state, self.disc.state)
+        saved = [state.snapshot() for state in states]
+        try:
+            return self._update(batch)
+        except BaseException:
+            for state, snap in zip(states, saved):
+                state.restore(snap)
+            raise
+
+    def _update(self, batch):
         cfg, sched, sens = self.cfg, self.sched, self.sens
         grid = cfg.train_grid
         step = self.global_step
@@ -276,34 +311,27 @@ class Trainer:
         report = LossReport(l_recon=l_recon, l_disc=float(l_d),
                             l_gen=float(l_g), l_final=float(l_final),
                             t=t_list[0], slice_id=batch[0].slice_id, step=step)
-        self.global_step += 1
         return report
 
     def fit(self, slices, log=None):
         """Epoch loop with a seeded slice order; stops at max_steps if set.
 
-        A non-zero global_step (resumed run) fast-forwards to its epoch and
-        batch position so the continued schedule matches an uninterrupted
-        run exactly.
+        Each step's epoch and batch follow from global_step, so a resumed
+        run continues the schedule of an uninterrupted one exactly.
         """
         cfg = self.cfg
         reports = []
         n = len(slices)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-        start_epoch = self.global_step // steps_per_epoch
-        for epoch in range(start_epoch, cfg.epochs):
+        last = min(cfg.epochs * steps_per_epoch, cfg.max_steps or np.inf)
+        while self.global_step < last:
+            epoch, bi = divmod(self.global_step, steps_per_epoch)
             order = self._rng(3, epoch).permutation(n)
-            skip = self.global_step - epoch * steps_per_epoch
-            for bi, lo in enumerate(range(0, n, cfg.batch_size)):
-                if bi < skip:
-                    continue
-                batch = [slices[i] for i in order[lo:lo + cfg.batch_size]]
-                rep = self.train_step(batch)
-                reports.append(rep)
-                if log is not None:
-                    log(rep)
-                if cfg.max_steps and self.global_step >= cfg.max_steps:
-                    return reports
+            lo = bi * cfg.batch_size
+            rep = self.train_step([slices[i] for i in order[lo:lo + cfg.batch_size]])
+            reports.append(rep)
+            if log is not None:
+                log(rep)
         return reports
 
 

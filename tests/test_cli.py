@@ -8,11 +8,19 @@ import pytest
 
 from ssdiffmri import tensorio
 from ssdiffmri.cli import _train_config_from_args, build_parser, run
+from ssdiffmri.nets import Denoiser
 from ssdiffmri.pipeline import TrainConfig
 
 
 def invoke(*argv):
     return run(list(argv))
+
+
+def assert_same_checkpoint(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) and len(names) > 0
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +135,7 @@ class TestTrain:
     def test_run_directory_layout(self, trained):
         assert (trained / "config.json").exists()
         assert (trained / "checkpoints" / "final" / "denoiser.index.json").exists()
+        assert os.listdir(trained / "checkpoints") == ["final"]
         lines = (trained / "logs" / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "step,slice,t,l_recon,l_disc,l_gen,l_final"
         assert len(lines) == 7  # header + 6 steps
@@ -139,7 +148,8 @@ class TestTrain:
 
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--data", "d"])
-        assert _train_config_from_args(args, {"R": TrainConfig.R}) == TrainConfig()
+        cfg = _train_config_from_args(args, {"R": TrainConfig.R}, "meta.json")
+        assert cfg == TrainConfig()
 
     def test_rho_out_of_range_usage(self, undersampled, tmp_path):
         assert invoke("train", "--data", str(undersampled), "--rho", "1.5",
@@ -163,6 +173,9 @@ class TestTrain:
         last_a = (a / "logs" / "metrics.csv").read_text().strip().split("\n")[-1]
         last_c = (c / "logs" / "metrics.csv").read_text().strip().split("\n")[-1]
         assert last_a == last_c
+        # float32 states round-trip exactly, so both nets' params, Adam
+        # moments and buffers match the uninterrupted run byte for byte
+        assert_same_checkpoint(a / "checkpoints" / "final", c / "checkpoints" / "final")
 
     def test_resume_refuses_mismatched_step_counts(self, undersampled, tmp_path, capsys):
         flags = ("--hidden", "6", "--disc-width", "4", "--batch-size", "2",
@@ -181,6 +194,64 @@ class TestTrain:
                       "--resume", str(ckpt), "--max-steps", "4", *flags) == 1
         err = capsys.readouterr().err
         assert "denoiser has 2 steps" in err and "discriminator has 1" in err
+        assert not out.exists()
+
+    def test_failed_step_leaves_last_good_at_last_completed_step(
+            self, undersampled, tmp_path, monkeypatch):
+        # a NaN in the denoiser's gradient at the third step aborts the run
+        # after the discriminator's update; the step is undone as a whole
+        config = tmp_path / "every_step.json"
+        config.write_text(json.dumps({"checkpoint_every": 1}))
+        flags = ("--data", str(undersampled), "--config", str(config), "--max-steps", "4",
+                 "--hidden", "6", "--disc-width", "4", "--batch-size", "2", "--seed", "13")
+        full = tmp_path / "full"
+        assert invoke("train", *flags, "--out", str(full)) == 0
+        backward, calls = Denoiser.backward, []
+
+        def nan_at_third_step(self, upstream):
+            backward(self, upstream)
+            calls.append(None)
+            if len(calls) == 3:
+                self.state.grads[0] = np.nan
+
+        monkeypatch.setattr(Denoiser, "backward", nan_at_third_step)
+        failed = tmp_path / "failed"
+        assert invoke("train", *flags, "--out", str(failed)) == 1
+        monkeypatch.undo()
+        ckpts = failed / "checkpoints"
+        assert sorted(os.listdir(ckpts)) == ["last_good", "step_000001", "step_000002"]
+        assert_same_checkpoint(ckpts / "step_000002", ckpts / "last_good")
+        resumed = tmp_path / "resumed"
+        assert invoke("train", *flags, "--resume", str(ckpts / "last_good"),
+                      "--out", str(resumed)) == 0
+        assert_same_checkpoint(full / "checkpoints" / "final",
+                               resumed / "checkpoints" / "final")
+
+    def test_meta_r_out_of_range_exits_1_naming_file(self, dataset, undersampled,
+                                                     tmp_path, capsys):
+        under = tmp_path / "under"
+        shutil.copytree(undersampled, under)
+        meta = json.loads((under / "meta.json").read_text())
+        (under / "meta.json").write_text(json.dumps({**meta, "R": -1}))
+        assert invoke("train", "--data", str(under), "--out", str(tmp_path / "r"),
+                      "--max-steps", "1") == 1
+        err = capsys.readouterr().err
+        assert "meta.json" in err and "R must be positive" in err
+
+    @pytest.mark.parametrize("values", [
+        {"hidden": "24"}, {"hidden": 2.5}, {"seed": "x"}, {"disc_width": 0},
+        {"dtype": "float16"}, {"checkpoint_every": -1}, {"max_steps": -1},
+        {"t_start": 1000}, {"rho": 1.5}, {"lr": True}, {"beta_1": 0.5},
+    ], ids=lambda v: "-".join(f"{k}={v[k]}" for k in v))
+    def test_bad_config_value_exits_1_naming_file(self, undersampled, tmp_path, capsys,
+                                                 values):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps(values))
+        out = tmp_path / "r"
+        assert invoke("train", "--data", str(undersampled), "--config", str(path),
+                      "--out", str(out), "--max-steps", "1") == 1
+        err = capsys.readouterr().err
+        assert "overrides.json" in err and next(iter(values)) in err
         assert not out.exists()
 
 
@@ -347,7 +418,8 @@ class TestBadInput:
     def test_old_run_config_at_supported_values_reconstructs(
             self, undersampled, trained, recon_dirs, tmp_path):
         run_dir = self._old_run(trained, tmp_path, dc_mode="measured_outside",
-                                rho_convention="fraction_of_acquired")
+                                rho_convention="fraction_of_acquired",
+                                center_fraction=0.04)
         out = tmp_path / "rec"
         assert invoke("recon", "--data", str(undersampled), "--run", str(run_dir),
                       "--out", str(out), "--seed", "2") == 0
@@ -356,13 +428,42 @@ class TestBadInput:
             assert (out / "recons" / name).read_bytes() == (rec / "recons" / name).read_bytes()
 
     @pytest.mark.parametrize("key,value", [("dc_mode", "literal"),
-                                           ("rho_convention", "train_to_loss")])
+                                           ("rho_convention", "train_to_loss"),
+                                           ("center_fraction", 0.08)])
     def test_old_run_config_other_value_exits_1(self, undersampled, trained, tmp_path,
                                                 capsys, key, value):
         run_dir = self._old_run(trained, tmp_path, **{key: value})
         assert invoke("recon", "--data", str(undersampled), "--run", str(run_dir),
                       "--out", str(tmp_path / "rec")) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["recon", "resume"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda index: index.update(step=5),
+         "denoiser has 6 steps but the discriminator has 5"),
+        (lambda index: index.pop("step"), "disc.index.json"),
+    ], ids=["mismatched-steps", "index-without-step"])
+    def test_bad_checkpoint_index_exits_1(self, undersampled, trained, tmp_path, capsys,
+                                          command, edit, message):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained, run_dir)
+        path = run_dir / "checkpoints" / "final" / "disc.index.json"
+        index = json.loads(path.read_text())
+        edit(index)
+        path.write_text(json.dumps(index))
+        argv = {"recon": ("recon", "--run", str(run_dir)),
+                "resume": ("train", "--resume", str(path.parent), "--hidden", "6",
+                           "--disc-width", "4", "--seed", "11")}[command]
+        assert invoke(*argv, "--data", str(undersampled), "--out", str(tmp_path / "o")) == 1
+        assert message in capsys.readouterr().err
+
+    def test_resume_with_other_widths_exits_1_naming_file(self, undersampled, trained,
+                                                          tmp_path, capsys):
+        assert invoke("train", "--data", str(undersampled), "--out", str(tmp_path / "o"),
+                      "--resume", str(trained / "checkpoints" / "final"),
+                      "--hidden", "8", "--disc-width", "4", "--seed", "11") == 1
+        err = capsys.readouterr().err
+        assert "denoiser.conv0.w.cksp" in err and "(45, 6)" in err and "(45, 8)" in err
 
     def test_stats_single_report_exits_2(self, dataset, recon_dirs, tmp_path):
         rec, _ = recon_dirs

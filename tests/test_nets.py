@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
+from ssdiffmri import tensorio
 from ssdiffmri.nets import (BN_EPS, Denoiser, DenoiserSpec, Discriminator,
                             DiscriminatorSpec, ModelState, _BatchNorm,
-                            _channel_sum, _Conv3x3, adam_step, load_state,
-                            save_state)
+                            _channel_sum, _Conv3x3, adam_step, load_checkpoint,
+                            load_state, save_checkpoint, save_state)
 
 
 def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
@@ -483,3 +486,60 @@ class TestCheckpoint:
         np.testing.assert_allclose(other.forward(s, s.copy()),
                                    tiny_disc.forward(s, s.copy()), atol=1e-5)
         assert len(list(tmp_path.iterdir())) == 3 * len(other.state.blocks) + 8 + 1
+
+    def test_save_failing_partway_leaves_earlier_checkpoints(self, tmp_path, tiny_denoiser,
+                                                             tiny_disc, monkeypatch):
+        save_checkpoint(tmp_path / "a", tiny_denoiser.state, tiny_disc.state)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        write, calls = tensorio.write_tensor, []
+
+        def fail_at_fifth(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            write(*args)
+
+        monkeypatch.setattr(tensorio, "write_tensor", fail_at_fifth)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "b", tiny_denoiser.state, tiny_disc.state)
+        assert os.listdir(tmp_path) == ["a"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == before
+
+    def test_save_clears_stale_temporary_and_round_trips(self, tmp_path, tiny_denoiser,
+                                                         tiny_disc):
+        stale = tmp_path / "ckpt.tmp"
+        stale.mkdir()
+        (stale / "denoiser.conv0.w.cksp").write_bytes(b"half-written")
+        (stale / "leftover").write_bytes(b"")
+        tiny_disc.state.step = tiny_denoiser.state.step = 3
+        save_checkpoint(tmp_path / "ckpt", tiny_denoiser.state, tiny_disc.state)
+        assert os.listdir(tmp_path) == ["ckpt"]
+        n_files = sum(3 * len(st.blocks) + len(st.buffers) + 1
+                      for st in (tiny_denoiser.state, tiny_disc.state))
+        assert len(os.listdir(tmp_path / "ckpt")) == n_files
+        den = Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=50)
+        disc = Discriminator(DiscriminatorSpec(width=6), seed=51)
+        load_checkpoint(tmp_path / "ckpt", den.state, disc.state)
+        assert den.state.step == disc.state.step == 3
+        np.testing.assert_allclose(den.state.params, tiny_denoiser.state.params, atol=1e-6)
+
+
+class TestSnapshot:
+    def test_restore_returns_every_array_and_keeps_layer_views(self, tiny_disc):
+        state = tiny_disc.state
+        rng = np.random.default_rng(20)
+        s = rng.standard_normal((2, 8, 8, 2))
+        snap = state.snapshot()
+        copies = [a.copy() for a in (state.params, state.m, state.v)]
+        buffers = {k: v.copy() for k, v in state.buffers.items()}
+        tiny_disc.forward(s, s.copy(), train=True, keep_cache=True)
+        tiny_disc.backward(np.ones(2))
+        adam_step(state, lr=1e-2)
+        tiny_disc.backward(np.ones(2))
+        state.restore(snap)
+        for a, b in zip((state.params, state.m, state.v), copies):
+            assert np.array_equal(a, b)
+        for k, v in buffers.items():
+            assert np.array_equal(state.buffers[k], v)
+        assert state.step == 0 and not state.grads.any()
+        assert tiny_disc.bns[0].run_mean is state.buffers["bn0.run_mean"]

@@ -59,6 +59,28 @@ class TestTrainConfig:
         cfg = TrainConfig(rho=0.3, hidden=8)
         assert TrainConfig(**cfg.to_dict()) == cfg
 
+    def test_field_types(self):
+        assert TrainConfig(R=4, lr=1).R == 4  # int is accepted for float fields
+        for bad in (dict(lr=True), dict(hidden=True), dict(hidden=8.0), dict(R="4"),
+                    dict(dtype=32)):
+            with pytest.raises(TypeError, match=next(iter(bad))):
+                TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(hidden=0), dict(disc_width=0), dict(batch_size=0), dict(epochs=0),
+        dict(max_steps=-1), dict(checkpoint_every=-1), dict(seed=-1),
+        dict(init_noise_var=-0.1), dict(t_start=-1), dict(t_start=101),
+        dict(dtype="float16"), dict(beta_1=0.0), dict(beta_1=0.03),
+        dict(beta_T=1.0), dict(lr=float("nan")), dict(R=float("inf")),
+    ], ids=repr)
+    def test_out_of_range_values(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+    def test_range_edges_accepted(self):
+        TrainConfig(t_start=100, init_noise_var=0.0, max_steps=0, checkpoint_every=0,
+                    seed=0, beta_1=0.02, dtype="float64")
+
 
 class TestDCProjection:
     def test_fixed_point_single_coil(self):
@@ -308,6 +330,54 @@ class TestTrainStep:
         # monotone after smoothing, allowing jitter well below the total drop
         rng_tol = 0.1 * (smooth.max() - smooth.min())
         assert np.all(np.diff(smooth) < rng_tol)
+
+    def test_failed_step_restores_both_nets(self, monkeypatch):
+        # the NaN reaches the denoiser's Adam update after the
+        # discriminator's update has been applied
+        sens, slices, _ = make_fixture(coils=2, n=4)
+        cfg = small_cfg()
+        den, disc = build_models(cfg)
+        tr = Trainer(den, disc, sens, cfg)
+        tr.train_step(slices[:2])
+        before = [(st.params.copy(), st.m.copy(), st.v.copy(),
+                   {k: b.copy() for k, b in st.buffers.items()}, st.step)
+                  for st in (den.state, disc.state)]
+        backward = Denoiser.backward
+
+        def nan_grads(self, upstream):
+            backward(self, upstream)
+            self.state.grads[-1] = np.nan
+
+        monkeypatch.setattr(Denoiser, "backward", nan_grads)
+        with pytest.raises(FloatingPointError):
+            tr.train_step(slices[2:])
+        monkeypatch.undo()
+        for st, (params, m, v, buffers, step) in zip((den.state, disc.state), before):
+            for a, b in ((st.params, params), (st.m, m), (st.v, v)):
+                assert np.array_equal(a, b)
+            for k, b in buffers.items():
+                assert np.array_equal(st.buffers[k], b)
+            assert st.step == step == 1 and not st.grads.any()
+        assert tr.global_step == 1
+        # the retried step is the step an uninterrupted trainer takes
+        den2, disc2 = build_models(cfg)
+        tr2 = Trainer(den2, disc2, sens, cfg)
+        tr2.train_step(slices[:2])
+        assert tr.train_step(slices[2:]) == tr2.train_step(slices[2:])
+        assert np.array_equal(den.state.params, den2.state.params)
+        assert np.array_equal(disc.state.v, disc2.state.v)
+
+    def test_fit_continues_from_global_step(self):
+        sens, slices, _ = make_fixture(coils=1, n=3)
+        cfg = small_cfg(epochs=2)
+        whole = Trainer(*build_models(cfg), sens, cfg).fit(slices)
+        assert [r.step for r in whole] == [0, 1, 2, 3]
+        capped = small_cfg(epochs=2, max_steps=3)
+        first = Trainer(*build_models(capped), sens, capped)
+        head = first.fit(slices)
+        assert first.fit(slices) == []  # already at max_steps
+        first.cfg = cfg
+        assert head + first.fit(slices) == whole
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts(self):
