@@ -182,9 +182,8 @@ def cmd_train(args):
     def save(tag):
         save_checkpoint(os.path.join(out, "checkpoints", tag), den.state, disc.state)
 
-    with open(log_path, "a" if args.resume else "w") as logf:
-        if not args.resume:
-            logf.write(LossReport.csv_header() + "\n")
+    with open(log_path, "w") as logf:
+        logf.write(LossReport.csv_header() + "\n")
 
         def log(rep):
             logf.write(rep.csv_row() + "\n")

@@ -6,9 +6,13 @@ all the Adam update needs. Gradient correctness is pinned by central
 finite-difference tests.
 
 Activations are channels-last (batch, rows, cols, channels); that keeps the
-im2col gather contiguous, which dominates the runtime otherwise. A conv's
-backward reuses its forward primitive: its input gradient is the im2col of
-the output gradient times the flipped kernel.
+im2col gather contiguous. A conv caches its zero-padded input, not the
+im2col: nine times the input would dominate a training step's memory. The
+GEMMs instead form the columns in blocks of whole image rows of at most
+``_BLOCK_BYTES`` (one block when the whole im2col fits). A conv's backward
+forms only the output gradient's im2col: its input gradient is that im2col
+times the flipped kernel, and its weight gradient the cached input's pixels
+against the same columns.
 
 Rule: per-channel work never runs on rows C elements long. With 2-32
 channels innermost, numpy's inner loop would do almost nothing per call, so
@@ -28,6 +32,8 @@ from . import tensorio
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# bytes of im2col a conv forms at a time: one core's L2 on a desk machine
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -107,11 +113,50 @@ def _he_uniform(rng, shape, fan_in):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class _Conv3x3:
-    """3x3 same-padding convolution via im2col and one GEMM.
+def _pad(x):
+    """Zero-pad channels-last (B, H, W, C) `x` by one pixel on each side
+    (``np.pad`` takes about five times as long on a B=1 desk image)."""
+    B, H, W, C = x.shape
+    xp = np.zeros((B, H + 2, W + 2, C), x.dtype)
+    xp[:, 1:-1, 1:-1] = x
+    return xp
 
-    Weights live as a (9*cin, cout) matrix so both the forward product and
-    the weight-gradient product run in their fastest BLAS orientation.
+
+def _im2col_blocks(xp):
+    """Yield (flat output rows, pixel index, im2col block) of padded `xp`
+    in blocks of whole image rows, each at most `_BLOCK_BYTES` (at least
+    one row). The pixel index selects the block's pixels from any
+    (B, H, W, ...) array.
+
+    A block holds whole images when an image fits, else consecutive rows of
+    one image. An input whose whole im2col fits is one block.
+    """
+    B, Hp, Wp, C = xp.shape
+    H, W = Hp - 2, Wp - 2
+    # window dims are appended last: (B, H, W, C, 3, 3) -> (.., 3, 3, C)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    win = win.transpose(0, 1, 2, 4, 5, 3)
+    rows = max(1, _BLOCK_BYTES // (W * 9 * C * xp.itemsize))
+    if rows >= H:
+        per = rows // H
+        blocks = ((slice(b * H * W, (b + per) * H * W), slice(b, b + per))
+                  for b in range(0, B, per))
+    else:
+        blocks = ((slice((b * H + r) * W, (b * H + min(r + rows, H)) * W),
+                   (b, slice(r, r + rows)))
+                  for b in range(B) for r in range(0, H, rows))
+    for flat, pix in blocks:
+        yield flat, pix, win[pix].reshape(-1, 9 * C)
+
+
+class _Conv3x3:
+    """3x3 same-padding convolution as im2col GEMMs.
+
+    Weights live as a (9*cin, cout) matrix. The cache holds the zero-padded
+    input, not its im2col, which is nine times larger. The forward pass
+    forms the input's im2col and the backward pass the output gradient's,
+    in blocks that fit a core's L2 (`_im2col_blocks`), with one GEMM per
+    block for each product.
     """
 
     def __init__(self, state, name, cin, cout, rng):
@@ -124,40 +169,52 @@ class _Conv3x3:
         self.b, self.db = state.add(f"{name}.b", (cout,), 0.0)
         self._cache = None
 
-    def _im2col(self, x):
-        B, H, W, C = x.shape
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-        # window dims are appended last: (B, H, W, C, 3, 3) -> (.., 3, 3, C)
-        return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * C)
-
     def forward(self, x, keep_cache):
         B, H, W, _ = x.shape
-        cols = self._im2col(x)
-        out = (cols @ self.w).reshape(B, H, W, self.cout)
-        out_rows = _rows(out)
+        xp = _pad(x)
+        out = np.empty((B * H * W, self.cout), np.result_type(x, self.w))
+        for flat, _, cols in _im2col_blocks(xp):
+            np.matmul(cols, self.w, out=out[flat])
+        out_rows = out.reshape(B * H, W * self.cout)
         out_rows += np.tile(self.b, W)
         if keep_cache:
-            self._cache = cols
-        return out
+            self._cache = xp
+        return out.reshape(B, H, W, self.cout)
 
     def backward(self, g, accumulate=True, input_grad=True):
         """Accumulate the parameter gradients (if `accumulate`) and return
-        the input gradient, or None when `input_grad` is false."""
+        the input gradient, or None when `input_grad` is false.
+
+        Both come from the im2col of the padded `g`. The transpose of a
+        same-padded 3x3 conv is the same conv of g with the kernel flipped
+        in both spatial axes and cin, cout swapped, so the input gradient is
+        that im2col times the flipped kernel. The weight gradient is the
+        input's pixels against the same columns: g's column tap (ky, kx)
+        meets kernel tap (2 - ky, 2 - kx). The input's im2col is not formed
+        again.
+        """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
-        cols = self._cache
-        gmat = g.reshape(-1, self.cout)
+        cin, cout = self.cin, self.cout
+        dx = None
+        if input_grad:
+            dx = np.empty((g.size // cout, cin), np.result_type(g, self.w))
+            w_flip = (self.w.reshape(3, 3, cin, cout)[::-1, ::-1]
+                      .transpose(0, 1, 3, 2).reshape(9 * cout, cin))
         if accumulate:
-            self.dw += cols.T @ gmat
-            self.db += _channel_sum(gmat, self.cout)
-        if not input_grad:
-            return None
-        # the transpose of a same-padded 3x3 conv is the same conv of g with
-        # the kernel flipped in both spatial axes and cin, cout swapped
-        w_flip = (self.w.reshape(3, 3, self.cin, self.cout)[::-1, ::-1]
-                  .transpose(0, 1, 3, 2).reshape(9 * self.cout, self.cin))
-        return (self._im2col(g) @ w_flip).reshape(g.shape[:-1] + (self.cin,))
+            self.db += _channel_sum(g, cout)
+            dw_flip = np.zeros((cin, 9 * cout), self.dw.dtype)
+            x = self._cache[:, 1:-1, 1:-1]
+        if input_grad or accumulate:
+            for flat, pix, cols in _im2col_blocks(_pad(g)):
+                if input_grad:
+                    np.matmul(cols, w_flip, out=dx[flat])
+                if accumulate:
+                    dw_flip += x[pix].reshape(-1, cin).T @ cols
+        if accumulate:
+            self.dw += (dw_flip.reshape(cin, 3, 3, cout)[:, ::-1, ::-1]
+                        .transpose(1, 2, 0, 3).reshape(9 * cin, cout))
+        return None if dx is None else dx.reshape(g.shape[:-1] + (cin,))
 
 
 class _ReLU:
@@ -383,9 +440,10 @@ class Discriminator:
             self._cache = (pooled, score, h.shape)
         return score
 
-    def backward(self, dscore, accumulate=True):
+    def backward(self, dscore, accumulate=True, input_grad=True):
         """Backprop from per-element score gradients; returns the gradient
-        w.r.t. the concatenated input channels."""
+        w.r.t. the concatenated input channels, or None when `input_grad`
+        is false (the first conv then skips forming it)."""
         if self._cache is None:
             raise RuntimeError("discriminator backward without cached forward")
         pooled, score, hshape = self._cache
@@ -396,11 +454,10 @@ class Discriminator:
         B, H, W, C = hshape
         g_row = dz[:, None] * np.tile(self.head_w, W) / (H * W)
         g = np.repeat(g_row[:, None, :], H, axis=1).reshape(hshape)
-        for conv, relu, bn in zip(reversed(self.convs), reversed(self.relus),
-                                  reversed(self.bns)):
-            g = bn.backward(g, accumulate)
-            g = relu.backward(g)
-            g = conv.backward(g, accumulate)
+        for i in reversed(range(len(self.convs))):
+            g = self.bns[i].backward(g, accumulate)
+            g = self.relus[i].backward(g)
+            g = self.convs[i].backward(g, accumulate, input_grad or i > 0)
         return g
 
     def input_grad(self, sample, cond, train=False):
@@ -431,7 +488,7 @@ class Discriminator:
         for sgn in (+1.0, -1.0):
             self.forward(sample + sgn * bump, cond, train=train,
                          keep_cache=True, update_running=False)
-            self.backward(np.full(n, sgn * coeff, dtype=self.dtype))
+            self.backward(np.full(n, sgn * coeff, dtype=self.dtype), input_grad=False)
         self._cache = None
 
 

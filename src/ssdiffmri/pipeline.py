@@ -277,9 +277,10 @@ class Trainer:
 
         # discriminator phase: real pair, fake pair, input-gradient penalty
         d_real = self.disc.forward(y_t_ch, y_tk_ch, train=True, keep_cache=True)
-        self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)))
+        self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)), input_grad=False)
         d_fake = self.disc.forward(y_hat_ch, y_tk_ch, train=True, keep_cache=True)
-        self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
+        self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)),
+                           input_grad=False)
         # the penalty's input gradient reuses the d_fake forward cache: the
         # parameters, the batch and the train-mode BN statistics are the same
         gi = self.disc.backward(np.ones(B, self.disc.dtype), accumulate=False)[..., :2]

@@ -8,6 +8,7 @@ import pytest
 
 from ssdiffmri import tensorio
 from ssdiffmri.cli import _train_config_from_args, build_parser, run
+from ssdiffmri.losses import LossReport
 from ssdiffmri.nets import Denoiser
 from ssdiffmri.pipeline import TrainConfig
 
@@ -176,6 +177,18 @@ class TestTrain:
         # float32 states round-trip exactly, so both nets' params, Adam
         # moments and buffers match the uninterrupted run byte for byte
         assert_same_checkpoint(a / "checkpoints" / "final", c / "checkpoints" / "final")
+
+    def test_resumed_log_starts_with_the_header(self, undersampled, tmp_path):
+        flags = ("--data", str(undersampled), "--hidden", "4", "--disc-width", "4",
+                 "--batch-size", "2", "--seed", "13")
+        a = tmp_path / "a"
+        assert invoke("train", *flags, "--out", str(a), "--max-steps", "1") == 0
+        b = tmp_path / "b"
+        assert invoke("train", *flags, "--out", str(b), "--max-steps", "2",
+                      "--resume", str(a / "checkpoints" / "final")) == 0
+        lines = (b / "logs" / "metrics.csv").read_text().strip().split("\n")
+        assert lines[0] == LossReport.csv_header()
+        assert len(lines) == 2 and lines[1].startswith("1,")  # the second step
 
     def test_resume_refuses_mismatched_step_counts(self, undersampled, tmp_path, capsys):
         flags = ("--hidden", "6", "--disc-width", "4", "--batch-size", "2",

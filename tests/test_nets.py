@@ -6,8 +6,8 @@ import pytest
 from ssdiffmri import tensorio
 from ssdiffmri.nets import (BN_EPS, Denoiser, DenoiserSpec, Discriminator,
                             DiscriminatorSpec, ModelState, _BatchNorm,
-                            _channel_sum, _Conv3x3, adam_step, load_checkpoint,
-                            load_state, save_checkpoint, save_state)
+                            _channel_sum, _Conv3x3, _im2col_blocks, _pad, adam_step,
+                            load_checkpoint, load_state, save_checkpoint, save_state)
 
 
 def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
@@ -256,6 +256,21 @@ class TestDiscriminator:
         cached = tiny_disc.backward(np.ones(3), accumulate=False)[..., :2]
         assert np.array_equal(cached, tiny_disc.input_grad(s, c, train=True))
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_backward_without_input_grad_keeps_param_grads(self, tiny_disc, train):
+        rng = np.random.default_rng(6)
+        s = rng.standard_normal((3, 8, 8, 2))
+        c = rng.standard_normal((3, 8, 8, 2))
+        dscore = rng.standard_normal(3)
+        grads = []
+        for input_grad in (True, False):
+            tiny_disc.state.zero_grads()
+            tiny_disc.forward(s, c, train=train, keep_cache=True, update_running=False)
+            got = tiny_disc.backward(dscore, input_grad=input_grad)
+            assert (got is None) == (not input_grad)
+            grads.append(tiny_disc.state.grads.tobytes())
+        assert grads[0] == grads[1]
+
     def test_penalty_param_grads_match_fd(self, tiny_disc):
         rng = np.random.default_rng(15)
         disc = tiny_disc
@@ -287,6 +302,14 @@ class TestDiscriminator:
 
 def _rel_err(got, want):
     return float(np.max(np.abs(np.asarray(got, np.float64) - want)) / np.max(np.abs(want)))
+
+
+def _ref_im2col(x):
+    """The whole (B*H*W, 9*C) im2col of a same-padded 3x3 conv in one array."""
+    B, H, W, C = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * C)
 
 
 def _textbook_bn(x, g, gamma, beta, mean, var, train):
@@ -388,7 +411,7 @@ class TestChannelOps:
         conv = _Conv3x3(state, "conv", 5, 7, rng)
         conv.b[:] = rng.standard_normal(7)
         x = rng.standard_normal((2, 6, 9, 5)).astype(dtype)
-        want = (conv._im2col(x) @ conv.w + conv.b).reshape(2, 6, 9, 7)
+        want = (_ref_im2col(x) @ conv.w + conv.b).reshape(2, 6, 9, 7)
         assert conv.forward(x, keep_cache=False).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cin,cout", [(4, 10), (10, 10), (24, 24), (24, 2)])
@@ -411,6 +434,45 @@ class TestChannelOps:
                 lhs, rhs = np.vdot(y, g), np.vdot(x, dx[dtype])
                 assert abs(lhs - rhs) <= 1e-12 * (np.abs(y).ravel() @ np.abs(g).ravel())
         assert _rel_err(dx[np.float32], dx[np.float64]) <= 1e-5
+
+
+class TestBlockedConv:
+    """The conv forms im2col in blocks of image rows; every result must
+    equal the single-GEMM im2col reference."""
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("shape,several", [((4, 64, 64), True), ((2, 6, 9), False)])
+    @pytest.mark.parametrize("cin,cout", [(4, 10), (10, 10), (5, 24), (24, 24), (24, 2)])
+    def test_matches_the_single_gemm(self, cin, cout, shape, several, dtype, rtol):
+        rng = np.random.default_rng(cin * 100 + cout)
+        conv = _Conv3x3(ModelState(9 * cin * cout + cout, dtype), "conv", cin, cout, rng)
+        conv.b[:] = rng.standard_normal(cout)
+        x = rng.standard_normal(shape + (cin,)).astype(dtype)
+        g = rng.standard_normal(shape + (cout,)).astype(dtype)
+        assert (len(list(_im2col_blocks(_pad(x)))) > 1) == several
+        # float64 references from the same (possibly float32) values
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+        w64, b64 = conv.w.astype(np.float64), conv.b.astype(np.float64)
+        w_flip = (w64.reshape(3, 3, cin, cout)[::-1, ::-1]
+                  .transpose(0, 1, 3, 2).reshape(9 * cout, cin))
+        gmat = g64.reshape(-1, cout)
+
+        y = conv.forward(x, keep_cache=True)
+        dx = conv.backward(g)
+        assert y.dtype == dx.dtype == dtype
+        assert _rel_err(y, (_ref_im2col(x64) @ w64 + b64).reshape(y.shape)) <= rtol
+        assert _rel_err(conv.dw, _ref_im2col(x64).T @ gmat) <= rtol
+        assert _rel_err(conv.db, gmat.sum(axis=0)) <= rtol
+        assert _rel_err(dx, (_ref_im2col(g64) @ w_flip).reshape(x.shape)) <= rtol
+
+    def test_cache_is_no_larger_than_the_padded_input(self):
+        rng = np.random.default_rng(26)
+        conv = _Conv3x3(ModelState(9 * 24 * 24 + 24, np.float32), "conv", 24, 24, rng)
+        x = rng.standard_normal((4, 64, 64, 24)).astype(np.float32)
+        conv.forward(x, keep_cache=True)
+        held = [a for a in vars(conv).values() if isinstance(a, np.ndarray)]
+        assert conv._cache is not None
+        assert max(a.nbytes for a in held) <= _pad(x).nbytes
 
 
 class TestAdam:
