@@ -2,7 +2,9 @@
 
 Complex images are compared on their magnitudes. SSIM uses a Gaussian
 11x11 window (sigma 1.5) over the valid interior, with the stabilizing
-constants ``(0.01 * peak)^2`` and ``(0.03 * peak)^2``.
+constants ``(0.01 * peak)^2`` and ``(0.03 * peak)^2``. The window is the
+outer product of its normalized 1-D taps, so the window means are two 1-D
+passes, along rows and then along columns.
 """
 
 import numpy as np
@@ -40,18 +42,18 @@ def psnr(y, y_hat):
     return float(10.0 * np.log10(peak**2 / mse))
 
 
-def _gaussian_window(size, sigma):
+def _gaussian_taps(size, sigma):
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _window_means(img, window):
-    """Weighted window means over all fully interior positions."""
-    k = window.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(img, (k, k))
-    return np.einsum("hwij,ij->hw", win, window)
+def _window_means(maps, taps):
+    """Weighted window means of each (..., H, W) map over all fully interior
+    positions: the 1-D taps along rows, then along columns."""
+    k = taps.size
+    rows = np.lib.stride_tricks.sliding_window_view(maps, k, axis=-1) @ taps
+    return np.lib.stride_tricks.sliding_window_view(rows, k, axis=-2) @ taps
 
 
 def ssim(y, y_hat):
@@ -67,12 +69,9 @@ def ssim(y, y_hat):
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
 
-    w = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    mu_y = _window_means(ym, w)
-    mu_h = _window_means(yhm, w)
-    ey2 = _window_means(ym * ym, w)
-    eh2 = _window_means(yhm * yhm, w)
-    eyh = _window_means(ym * yhm, w)
+    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
+    mu_y, mu_h, ey2, eh2, eyh = _window_means(
+        np.stack([ym, yhm, ym * ym, yhm * yhm, ym * yhm]), taps)
     var_y = ey2 - mu_y**2
     var_h = eh2 - mu_h**2
     cov = eyh - mu_y * mu_h

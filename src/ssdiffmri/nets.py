@@ -9,10 +9,11 @@ Activations are channels-last (batch, rows, cols, channels); that keeps the
 im2col gather contiguous. A conv caches its zero-padded input, not the
 im2col: nine times the input would dominate a training step's memory. The
 GEMMs instead form the columns in blocks of whole image rows of at most
-``_BLOCK_BYTES`` (one block when the whole im2col fits). A conv's backward
-forms only the output gradient's im2col: its input gradient is that im2col
-times the flipped kernel, and its weight gradient the cached input's pixels
-against the same columns.
+``_BLOCK_BYTES`` (one block when the whole im2col fits). A conv's input
+gradient is the output gradient's im2col times the flipped kernel; its
+weight gradient comes from the narrower of the two im2cols (the input's
+when cin < cout, else the output gradient's), against the other side's
+pixels.
 
 Rule: per-channel work never runs on rows C elements long. With 2-32
 channels innermost, numpy's inner loop would do almost nothing per call, so
@@ -154,9 +155,10 @@ class _Conv3x3:
 
     Weights live as a (9*cin, cout) matrix. The cache holds the zero-padded
     input, not its im2col, which is nine times larger. The forward pass
-    forms the input's im2col and the backward pass the output gradient's,
-    in blocks that fit a core's L2 (`_im2col_blocks`), with one GEMM per
-    block for each product.
+    forms the input's im2col; the backward pass forms the output gradient's
+    and, for a widening layer's weight gradient, the input's again. Both
+    run in blocks that fit a core's L2 (`_im2col_blocks`), with one GEMM
+    per block for each product.
     """
 
     def __init__(self, state, name, cin, cout, rng):
@@ -185,33 +187,43 @@ class _Conv3x3:
         """Accumulate the parameter gradients (if `accumulate`) and return
         the input gradient, or None when `input_grad` is false.
 
-        Both come from the im2col of the padded `g`. The transpose of a
-        same-padded 3x3 conv is the same conv of g with the kernel flipped
-        in both spatial axes and cin, cout swapped, so the input gradient is
-        that im2col times the flipped kernel. The weight gradient is the
-        input's pixels against the same columns: g's column tap (ky, kx)
-        meets kernel tap (2 - ky, 2 - kx). The input's im2col is not formed
-        again.
+        The transpose of a same-padded 3x3 conv is the same conv of g with
+        the kernel flipped in both spatial axes and cin, cout swapped, so the
+        input gradient is the im2col of the padded `g` times the flipped
+        kernel. The weight gradient comes from the narrower im2col, chosen by
+        layer shape alone so that `input_grad` leaves it unchanged: when
+        cin < cout, the cached input's im2col against g's pixels; otherwise
+        the input's pixels against g's im2col, whose column tap (ky, kx)
+        meets kernel tap (2 - ky, 2 - kx).
         """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward without cached forward")
         cin, cout = self.cin, self.cout
+        dw_from_x = accumulate and cin < cout
+        dw_from_g = accumulate and not dw_from_x
         dx = None
+        if accumulate:
+            self.db += _channel_sum(g, cout)
+        if dw_from_x:
+            dw = np.zeros(self.dw.shape, self.dw.dtype)
+            g_pix = g.reshape(-1, cout)
+            for flat, _, cols in _im2col_blocks(self._cache):
+                dw += cols.T @ g_pix[flat]
+            self.dw += dw
         if input_grad:
             dx = np.empty((g.size // cout, cin), np.result_type(g, self.w))
             w_flip = (self.w.reshape(3, 3, cin, cout)[::-1, ::-1]
                       .transpose(0, 1, 3, 2).reshape(9 * cout, cin))
-        if accumulate:
-            self.db += _channel_sum(g, cout)
+        if dw_from_g:
             dw_flip = np.zeros((cin, 9 * cout), self.dw.dtype)
             x = self._cache[:, 1:-1, 1:-1]
-        if input_grad or accumulate:
+        if input_grad or dw_from_g:
             for flat, pix, cols in _im2col_blocks(_pad(g)):
                 if input_grad:
                     np.matmul(cols, w_flip, out=dx[flat])
-                if accumulate:
+                if dw_from_g:
                     dw_flip += x[pix].reshape(-1, cin).T @ cols
-        if accumulate:
+        if dw_from_g:
             self.dw += (dw_flip.reshape(cin, 3, 3, cout)[:, ::-1, ::-1]
                         .transpose(1, 2, 0, 3).reshape(9 * cin, cout))
         return None if dx is None else dx.reshape(g.shape[:-1] + (cin,))

@@ -3,12 +3,23 @@
 The studentized range distribution behind the Tukey p-values is evaluated
 by Gauss-Legendre quadrature rather than pulled from a statistics package,
 so the implementation can be cross-checked against an independent one.
+
+Only numpy and the standard library are used: the normal CDF is
+``math.erfc``, its inverse ``statistics.NormalDist().inv_cdf``, log-gamma
+``math.lgamma``, and the F survival function a regularized incomplete beta
+evaluated by Lentz's continued fraction (``_fdtrc``).
 """
 
+import functools
+import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+
+_ndtri = statistics.NormalDist().inv_cdf
+# resampled values gathered at a time when averaging bootstrap resamples
+_GATHER = 1 << 16
 
 
 @dataclass
@@ -25,10 +36,13 @@ class MetricReport:
     METRICS = ("nmse", "psnr", "ssim")
 
     def finalize(self, n_boot=10000, level=0.95, seed=0):
+        """Means and BCa intervals; the metrics share one resample index,
+        so each interval equals ``bootstrap_ci`` with the same arguments."""
+        draw = functools.cache(lambda n: _resample_index(n, n_boot, seed))
         for name in self.METRICS:
-            vals = np.asarray(getattr(self, name), dtype=float)
+            vals = _check_samples(getattr(self, name), level)
             self.means[name] = float(np.mean(vals))
-            self.ci[name] = bootstrap_ci(vals, n_boot=n_boot, level=level, seed=seed)
+            self.ci[name] = _bca_interval(vals, level, draw)
         return self
 
     def to_aggregate(self):
@@ -57,32 +71,98 @@ class TestResult:
                              for a, b, q, p in self.pairwise]}
 
 
+def _ndtr(x):
+    """Standard normal CDF, elementwise."""
+    x = np.asarray(x, dtype=float)
+    r2 = math.sqrt(2.0)
+    vals = [0.5 * math.erfc(-v / r2) for v in x.ravel().tolist()]
+    return np.array(vals).reshape(x.shape)
+
+
+def _betainc_cf(a, b, x):
+    """Continued fraction of the regularized incomplete beta I_x(a, b), by
+    the modified Lentz method; converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny, eps = 1e-300, 2.0**-52
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < eps:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge at a={a}, b={b}, x={x}")
+
+
+def _fdtrc(d1, d2, f):
+    """Survival function of the F(d1, d2) distribution:
+    I_x(d2/2, d1/2) with x = d2 / (d2 + d1*f)."""
+    if math.isnan(f):
+        return math.nan
+    if f <= 0.0:
+        return 1.0
+    if math.isinf(f):
+        return 0.0
+    a, b = d2 / 2.0, d1 / 2.0
+    x, y = d2 / (d2 + d1 * f), d1 * f / (d2 + d1 * f)   # y = 1 - x without cancellation
+    front = math.exp(a * math.log(x) + b * math.log(y) + math.lgamma(a + b)
+                     - math.lgamma(a) - math.lgamma(b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betainc_cf(a, b, x) / a
+    return 1.0 - front * _betainc_cf(b, a, y) / b
+
+
+def _check_samples(samples, level):
+    x = np.asarray(samples, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    return x
+
+
+def _resample_index(n, n_boot, seed):
+    """The (n_boot, n) resample index every interval of this seed uses."""
+    return np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+
+
 def bootstrap_ci(samples, n_boot=10000, level=0.95, seed=0):
     """Bias-corrected and accelerated bootstrap interval for the mean.
 
     Constant samples yield a degenerate zero-width interval rather than an
     error. Deterministic given the seed.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    x = _check_samples(samples, level)
+    return _bca_interval(x, level, lambda n: _resample_index(n, n_boot, seed))
+
+
+def _bca_interval(x, level, draw):
+    """BCa interval of the mean of checked samples `x`; `draw(n)` returns
+    the resample index (called only for a non-degenerate interval)."""
     theta = float(np.mean(x))
     if not np.all(np.isfinite(x)) or np.ptp(x) == 0.0:
         # constant (or infinite-sentinel) samples: degenerate interval
         return theta, theta
 
-    rng = np.random.default_rng(seed)
     n = x.size
-    idx = rng.integers(0, n, size=(n_boot, n))
-    boot = np.mean(x[idx], axis=1)
+    idx = draw(n)
+    n_boot = idx.shape[0]
+    # row chunks keep each row's mean as one whole gather would give it
+    boot = np.empty(n_boot)
+    rows = max(1, _GATHER // n)
+    for r in range(0, n_boot, rows):
+        boot[r:r + rows] = np.mean(x[idx[r:r + rows]], axis=1)
     boot.sort()
 
     # bias correction from the proportion of resamples below the estimate
     frac = np.count_nonzero(boot < theta) / n_boot
     frac = min(max(frac, 1.0 / n_boot), 1.0 - 1.0 / n_boot)
-    z0 = special.ndtri(frac)
+    z0 = _ndtri(frac)
 
     # acceleration from the jackknife skewness
     jack = (np.sum(x) - x) / (n - 1)
@@ -94,8 +174,8 @@ def bootstrap_ci(samples, n_boot=10000, level=0.95, seed=0):
     alpha = 1.0 - level
     lo_hi = []
     for a in (alpha / 2.0, 1.0 - alpha / 2.0):
-        z = special.ndtri(a)
-        adj = special.ndtr(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
+        z = _ndtri(a)
+        adj = float(_ndtr(z0 + (z0 + z) / (1.0 - accel * (z0 + z))))
         pos = min(max(int(np.floor(adj * n_boot)), 0), n_boot - 1)
         lo_hi.append(float(boot[pos]))
     return lo_hi[0], lo_hi[1]
@@ -119,7 +199,7 @@ def anova_oneway(groups):
     if ssw == 0.0:
         return float("inf"), 0.0
     f = (ssb / (k - 1)) / (ssw / (n - k))
-    p = float(special.fdtrc(k - 1, n - k, f))
+    p = _fdtrc(k - 1, n - k, float(f))
     return float(f), p
 
 
@@ -144,13 +224,13 @@ def studentized_range_sf(q, k, df, n_outer=64, n_inner=128):
 
     def range_cdf(w):
         # P(range of k iid N(0,1) <= w), w broadcastable against z
-        upper = special.ndtr(z) - special.ndtr(z - w[..., None])
+        upper = _ndtr(z) - _ndtr(z - w[..., None])
         upper = np.clip(upper, 0.0, 1.0)
         return k * np.sum(wz * phi * upper ** (k - 1), axis=-1)
 
     # chi density of s = sigma_hat / sigma with df degrees of freedom
     s, ws = _gauss_legendre(1e-9, 1.0 + 10.0 / np.sqrt(df), n_outer)
-    log_c = (df / 2.0) * np.log(df) - special.gammaln(df / 2.0) - (df / 2.0 - 1.0) * np.log(2.0)
+    log_c = (df / 2.0) * np.log(df) - math.lgamma(df / 2.0) - (df / 2.0 - 1.0) * np.log(2.0)
     dens = np.exp(log_c + (df - 1.0) * np.log(s) - df * s**2 / 2.0)
     cdf = float(np.sum(ws * dens * range_cdf(q * s)))
     return float(min(max(1.0 - cdf, 0.0), 1.0))

@@ -30,6 +30,29 @@ def naive_ssim(y, yh):
     return float(np.mean(vals))
 
 
+def window2d_ssim(y, yh):
+    """SSIM with the 11x11 window applied as one 2-D weighted sum per
+    position, in vectorized form (the reference for the two 1-D passes)."""
+    y, yh = np.abs(y), np.abs(yh)
+    k, sig = SSIM_WINDOW, SSIM_SIGMA
+    half = (k - 1) / 2.0
+    g = np.exp(-((np.arange(k) - half) ** 2) / (2 * sig**2))
+    w = np.outer(g, g)
+    w /= w.sum()
+
+    def means(img):
+        win = np.lib.stride_tricks.sliding_window_view(img, (k, k))
+        return np.einsum("hwij,ij->hw", win, w)
+
+    peak = y.max()
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    mu_a, mu_b = means(y), means(yh)
+    var_a, var_b = means(y * y) - mu_a**2, means(yh * yh) - mu_b**2
+    cov = means(y * yh) - mu_a * mu_b
+    return float(np.mean(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                         / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))))
+
+
 class TestNMSE:
     def test_identical(self):
         y = np.arange(12.0).reshape(3, 4) + 1
@@ -111,6 +134,15 @@ class TestSSIM:
             y = rng.random((16, 16)) + 0.2
             yh = y + 0.08 * rng.standard_normal((16, 16))
             assert ssim(y, yh) == pytest.approx(naive_ssim(y, yh), abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (40, 64), (64, 40), (11, 11), (11, 30)])
+    def test_separable_passes_match_the_2d_window(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for noise in (0.02, 0.3):
+            y = rng.random(shape) + 0.2 * np.exp(1j * rng.uniform(0, 6, shape))
+            yh = y + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            want = window2d_ssim(y, yh)
+            assert abs(ssim(y, yh) - want) <= 1e-12 * abs(want)
 
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):

@@ -465,6 +465,27 @@ class TestBlockedConv:
         assert _rel_err(conv.db, gmat.sum(axis=0)) <= rtol
         assert _rel_err(dx, (_ref_im2col(g64) @ w_flip).reshape(x.shape)) <= rtol
 
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("shape", [(4, 64, 64), (2, 6, 9)])
+    @pytest.mark.parametrize("cin,cout", [(5, 24), (4, 10), (24, 2)])
+    def test_weight_gradient_without_input_gradient(self, cin, cout, shape, dtype, rtol):
+        """A parameter-only backward gives the same bytes of dw as a full one
+        (widening layers take dw from the input's im2col, the others from
+        g's), and both match the single-GEMM reference."""
+        rng = np.random.default_rng(cin * 100 + cout + 1)
+        conv = _Conv3x3(ModelState(9 * cin * cout + cout, dtype), "conv", cin, cout, rng)
+        x = rng.standard_normal(shape + (cin,)).astype(dtype)
+        g = rng.standard_normal(shape + (cout,)).astype(dtype)
+        dws = []
+        for input_grad in (True, False):
+            conv.state.zero_grads()
+            conv.forward(x, keep_cache=True)
+            assert (conv.backward(g, input_grad=input_grad) is None) == (not input_grad)
+            dws.append(conv.dw.copy())
+        assert dws[0].tobytes() == dws[1].tobytes()
+        want = _ref_im2col(x.astype(np.float64)).T @ g.astype(np.float64).reshape(-1, cout)
+        assert _rel_err(dws[1], want) <= rtol
+
     def test_cache_is_no_larger_than_the_padded_input(self):
         rng = np.random.default_rng(26)
         conv = _Conv3x3(ModelState(9 * 24 * 24 + 24, np.float32), "conv", 24, 24, rng)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
+from ssdiffmri import stats
 from ssdiffmri.stats import (MetricReport, anova_oneway, bootstrap_ci,
                              compare_methods, studentized_range_sf, tukey_hsd)
 
@@ -9,6 +11,36 @@ from ssdiffmri.stats import (MetricReport, anova_oneway, bootstrap_ci,
 # decomposition (SSB 84, SSW 68, df (2, 15))
 FIXTURE = [(6, 8, 4, 5, 3, 4), (8, 12, 9, 11, 6, 8), (13, 9, 11, 8, 7, 12)]
 FIXTURE_F = 9.264705882352942
+
+
+class TestSpecialFunctions:
+    """The numpy/standard-library replacements against scipy.special."""
+
+    def test_fdtrc_matches_scipy(self):
+        worst = 0.0
+        for d1 in range(1, 11):
+            for d2 in (5, 6, 9, 15, 30, 57, 100, 398, 1000):
+                for f in np.geomspace(0.01, 300.0, 60):
+                    want = special.fdtrc(d1, d2, f)
+                    if want > 0.0:
+                        worst = max(worst, abs(stats._fdtrc(d1, d2, float(f)) - want) / want)
+        assert worst <= 1e-10
+
+    def test_fdtrc_ends(self):
+        assert stats._fdtrc(2, 15, 0.0) == 1.0
+        assert stats._fdtrc(2, 15, float("inf")) == 0.0
+        assert np.isnan(stats._fdtrc(2, 15, float("nan")))
+
+    def test_ndtr_matches_scipy(self):
+        x = np.linspace(-40.0, 40.0, 20001).reshape(1, -1, 1)
+        got = stats._ndtr(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - special.ndtr(x))) <= 1e-15
+
+    def test_ndtri_matches_scipy(self):
+        p = np.linspace(1e-4, 1.0 - 1e-4, 20001)
+        got = np.array([stats._ndtri(v) for v in p])
+        assert np.max(np.abs(got - special.ndtri(p))) <= 1e-14
 
 
 class TestAnova:
@@ -22,6 +54,13 @@ class TestAnova:
         f, p = anova_oneway(FIXTURE)
         assert f == pytest.approx(FIXTURE_F, abs=1e-8)
         assert p == pytest.approx(sps.f.sf(FIXTURE_F, 2, 15), rel=1e-10)
+
+    def test_p_matches_scipy(self):
+        rng = np.random.default_rng(12)
+        for k, n in [(2, 4), (2, 200), (3, 6), (5, 40)]:
+            groups = [rng.standard_normal(n) + 0.2 * i for i in range(k)]
+            f, p = anova_oneway(groups)
+            assert p == pytest.approx(sps.f.sf(f, k - 1, k * n - k), rel=1e-10)
 
     def test_two_groups_f_equals_t_squared(self):
         rng = np.random.default_rng(0)
@@ -156,6 +195,25 @@ class TestReports:
         for name in MetricReport.METRICS:
             lo, hi = rep.ci[name]
             assert lo <= rep.means[name] <= hi
+
+    @pytest.mark.parametrize("n", [7, 200])
+    def test_finalize_equals_separate_bootstrap_calls(self, n):
+        rng = np.random.default_rng(13)
+        # ssim constant: a degenerate interval between two drawn ones
+        rep = MetricReport(method="m", nmse=rng.random(n), psnr=20 + rng.random(n),
+                           ssim=np.full(n, 0.5))
+        rep.finalize(n_boot=3000, level=0.9, seed=4)
+        for name in MetricReport.METRICS:
+            want = bootstrap_ci(getattr(rep, name), n_boot=3000, level=0.9, seed=4)
+            assert np.array(rep.ci[name]).tobytes() == np.array(want).tobytes()
+
+    def test_gather_chunks_leave_the_interval_unchanged(self, monkeypatch):
+        x = np.random.default_rng(14).exponential(size=200)
+        got = []
+        for gather in (1 << 30, 1 << 16, 1):  # one chunk, the default, one row at a time
+            monkeypatch.setattr(stats, "_GATHER", gather)
+            got.append(np.array(bootstrap_ci(x, n_boot=2000, seed=6)).tobytes())
+        assert got[0] == got[1] == got[2]
 
     def test_csv_rows_shape(self):
         rep = MetricReport(method="m", nmse=np.array([0.1]),
