@@ -221,6 +221,9 @@ def cmd_recon(args):
     for item in slices:
         res = reconstruct(item.kspace, item.acquired, sens, den, sched, cfg,
                           seed=args.seed + item.slice_id)
+        if not np.array_equal(res.final_kspace[..., item.acquired.sampled], item.columns):
+            raise RuntimeError(f"slice {item.slice_id}: the reconstruction's acquired "
+                               "k-space columns differ from the measurement")
         tensorio.write_tensor(res.image,
                               os.path.join(out, "recons",
                                            f"slice_{item.slice_id:04d}.cksp"))

@@ -18,7 +18,8 @@ def _magnitudes(y, y_hat):
     y_hat = np.asarray(y_hat)
     if y.shape != y_hat.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {y_hat.shape}")
-    return np.abs(y).astype(float), np.abs(y_hat).astype(float)
+    # complex64 is widened first: its np.abs would run in float32
+    return np.abs(np.asarray(y, np.complex128)), np.abs(np.asarray(y_hat, np.complex128))
 
 
 def nmse(y, y_hat):

@@ -533,11 +533,10 @@ def save_state(state, directory, prefix):
         index["blocks"][blk.name] = list(blk.shape)
         for which, suffix in _BLOCK_FILES:
             flat = getattr(state, which)[blk.start:blk.stop]
-            tensorio.write_tensor(flat.reshape(blk.shape).astype(np.complex128),
+            tensorio.write_tensor(flat.reshape(blk.shape),
                                   os.path.join(directory, f"{prefix}.{blk.name}{suffix}.cksp"))
     for name, buf in state.buffers.items():
-        tensorio.write_tensor(buf.astype(np.complex128),
-                              os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
+        tensorio.write_tensor(buf, os.path.join(directory, f"{prefix}.buf.{name}.cksp"))
     with open(os.path.join(directory, f"{prefix}.index.json"), "w") as f:
         json.dump(index, f, indent=2, sort_keys=True)
 

@@ -106,13 +106,38 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass
 class SliceData:
-    """One acquired slice: masked k-space plus its sampling mask."""
+    """One acquired slice: its measured k-space columns and sampling mask.
 
-    slice_id: int
-    kspace: np.ndarray        # (coils, rows, cols), zero at unsampled columns
-    acquired: SamplingMask
+    Only what was measured is stored: ``columns`` is the (coils, rows,
+    n_acquired) copy of ``kspace[..., acquired.sampled]`` in the dtype it was
+    given, next to the full ``shape``. Each read of ``kspace`` rebuilds the
+    zero-filled (coils, rows, cols) array in complex128, read-only. A
+    non-zero value outside the acquired columns, which would be dropped, is
+    a ValueError, as is a last axis that does not match the mask width.
+    """
+
+    def __init__(self, slice_id, kspace, acquired):
+        kspace = np.asarray(kspace)
+        cols = acquired.sampled
+        if kspace.shape[-1:] != cols.shape:
+            raise ValueError(f"slice {slice_id}: k-space of shape {kspace.shape} "
+                             f"does not match the mask width {cols.size}")
+        if np.any(kspace[..., ~cols]):
+            raise ValueError(f"slice {slice_id}: k-space is non-zero outside "
+                             "the acquired columns")
+        self.slice_id = slice_id
+        self.acquired = acquired
+        self.columns = kspace[..., cols]
+        self.shape = kspace.shape
+
+    @property
+    def kspace(self):
+        """The zero-filled k-space, (coils, rows, cols) complex128."""
+        ks = np.zeros(self.shape, np.complex128)
+        ks[..., self.acquired.sampled] = self.columns
+        ks.flags.writeable = False
+        return ks
 
 
 @dataclass

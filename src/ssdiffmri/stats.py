@@ -259,7 +259,12 @@ def tukey_hsd(groups, labels=None):
                 q = 0.0 if diff == 0.0 else float("inf")
             else:
                 q = diff / np.sqrt(msw / nh)
-            p = studentized_range_sf(q, k, df) if np.isfinite(q) else 0.0
+            if q == np.inf:       # no spread within groups, different means
+                p = 0.0
+            elif np.isnan(q):     # a NaN sample or variance decides nothing
+                p = float("nan")
+            else:
+                p = studentized_range_sf(q, k, df)
             table.append((labels[i], labels[j], float(q), float(p)))
     return table
 

@@ -1,9 +1,10 @@
 """Complex tensor file format, synthetic phantoms, and coil sensitivities.
 
-Tensors are complex numpy arrays in memory (complex128 for stable
-accumulations) and are stored on disk in the "CKSP" container: magic bytes,
-a length-prefixed JSON header, then little-endian interleaved float32
-(re, im) pairs in row-major order.
+Tensors are stored on disk in the "CKSP" container: magic bytes, a
+length-prefixed JSON header, then little-endian interleaved float32
+(re, im) pairs in row-major order. A tensor read back is held at the file's
+precision, complex64; code that computes with it promotes it to complex128
+where it meets complex128 operands.
 """
 
 import json
@@ -35,7 +36,7 @@ class PayloadMismatchError(CkspError):
 
 
 def write_tensor(t, path):
-    """Write a complex tensor to `path` in the CKSP container format.
+    """Write a real or complex tensor to `path` in the CKSP container format.
 
     The payload is the row-major complex64 image of `t`; values outside
     float32 range are an error rather than silently saturated.
@@ -61,7 +62,8 @@ def write_tensor(t, path):
 
 
 def read_tensor(path):
-    """Read a CKSP tensor file back into a complex128 array.
+    """Read a CKSP tensor file back into a complex64 array, the payload's
+    own precision, so every value is kept exactly.
 
     Any file that is not a well-formed CKSP tensor with finite values
     raises CkspError.
@@ -102,8 +104,7 @@ def read_tensor(path):
         )
     if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f4"))):
         raise CkspError(f"{path!r}: non-finite values in the payload")
-    data = np.frombuffer(payload, dtype="<c8").reshape(shape)
-    return data.astype(np.complex128)
+    return np.frombuffer(payload, dtype="<c8").astype(np.complex64).reshape(shape)
 
 
 @dataclass

@@ -1,4 +1,16 @@
+import numpy as np
+
+# numpy 1.25+ keeps its warning classes in np.exceptions; 1.24 on np itself
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
 ACCEPTANCE_LINES = []
+
+
+def pytest_configure(config):
+    # a ComplexWarning means an imaginary part was silently dropped
+    config.addinivalue_line(
+        "filterwarnings",
+        f"error::{_COMPLEX_WARNING.__module__}.{_COMPLEX_WARNING.__qualname__}")
 
 
 def record_criterion(n, passed, detail):

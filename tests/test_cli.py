@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ssdiffmri import tensorio
+from ssdiffmri import cli, tensorio
 from ssdiffmri.cli import _train_config_from_args, build_parser, run
 from ssdiffmri.losses import LossReport
 from ssdiffmri.nets import Denoiser
@@ -469,6 +469,22 @@ class TestBadInput:
                            "--disc-width", "4", "--seed", "11")}[command]
         assert invoke(*argv, "--data", str(undersampled), "--out", str(tmp_path / "o")) == 1
         assert message in capsys.readouterr().err
+
+    def test_recon_exits_1_when_acquired_columns_drift(self, undersampled, trained,
+                                                        tmp_path, capsys, monkeypatch):
+        real = cli.reconstruct
+
+        def drifting(measured_ks, acquired, *args, seed=0, **kwargs):
+            res = real(measured_ks, acquired, *args, seed=seed, **kwargs)
+            if seed == 3:
+                res.final_kspace = res.final_kspace.copy()
+                res.final_kspace[0, 0, acquired.indices()[0]] += 1e-12
+            return res
+
+        monkeypatch.setattr(cli, "reconstruct", drifting)
+        assert invoke("recon", "--data", str(undersampled), "--run", str(trained),
+                      "--out", str(tmp_path / "rec"), "--seed", "0") == 1
+        assert "slice 3:" in capsys.readouterr().err
 
     def test_resume_with_other_widths_exits_1_naming_file(self, undersampled, trained,
                                                           tmp_path, capsys):

@@ -158,3 +158,11 @@ class TestSSIM:
         cov = np.cov(y.ravel(), yh.ravel())[0, 1]
         assert cov < 0
         assert ssim(y, yh) < 0
+
+
+@pytest.mark.parametrize("metric", [nmse, psnr, ssim])
+def test_complex64_pair_scores_as_its_complex128_upcast(metric):
+    rng = np.random.default_rng(12)
+    y, y_hat = [(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+                .astype(np.complex64) for _ in range(2)]
+    assert metric(y, y_hat) == metric(y.astype(np.complex128), y_hat.astype(np.complex128))

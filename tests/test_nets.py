@@ -606,6 +606,24 @@ class TestCheckpoint:
         assert den.state.step == disc.state.step == 3
         np.testing.assert_allclose(den.state.params, tiny_denoiser.state.params, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_files_match_a_save_through_complex128(self, tmp_path, monkeypatch, dtype):
+        disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=dtype)
+        s = np.random.default_rng(4).standard_normal((2, 8, 8, 2)).astype(dtype)
+        disc.forward(s, s.copy(), train=True, keep_cache=True)
+        disc.backward(np.ones(2, dtype))
+        adam_step(disc.state, lr=1e-3)
+        save_state(disc.state, tmp_path / "real", "disc")
+        write = tensorio.write_tensor
+        monkeypatch.setattr(tensorio, "write_tensor",
+                            lambda t, path: write(np.asarray(t, np.complex128), path))
+        save_state(disc.state, tmp_path / "wide", "disc")
+        names = sorted(os.listdir(tmp_path / "real"))
+        assert names == sorted(os.listdir(tmp_path / "wide")) and len(names) > 1
+        for name in names:
+            assert ((tmp_path / "real" / name).read_bytes()
+                    == (tmp_path / "wide" / name).read_bytes()), name
+
 
 class TestSnapshot:
     def test_restore_returns_every_array_and_keeps_layer_views(self, tiny_disc):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdiffmri.diffusion import make_schedule, sample_yt
 from ssdiffmri.kspace import EncodingOperator, encode, ifft2c, zero_filled
 from ssdiffmri.losses import recon_loss_masked
-from ssdiffmri.masks import apply_mask, make_random_mask, partition_mask
+from ssdiffmri.masks import SamplingMask, apply_mask, make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, ssim
 from ssdiffmri import pipeline
 from ssdiffmri.nets import Denoiser
@@ -80,6 +82,43 @@ class TestTrainConfig:
     def test_range_edges_accepted(self):
         TrainConfig(t_start=100, init_noise_var=0.0, max_steps=0, checkpoint_every=0,
                     seed=0, beta_1=0.02, dtype="float64")
+
+
+class TestSliceData:
+    @settings(max_examples=60, deadline=None)
+    @given(sampled=st.lists(st.booleans(), min_size=1, max_size=12),
+           coils=st.integers(1, 4), rows=st.integers(1, 6),
+           dtype=st.sampled_from([np.complex64, np.complex128]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_keeps_the_acquired_columns_exactly(self, sampled, coils, rows, dtype, seed):
+        mask = SamplingMask(len(sampled), np.array(sampled), (0, 0))
+        rng = np.random.default_rng(seed)
+        shape = (coils, rows, mask.width)
+        ks = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+        ks[..., ~mask.sampled] = 0
+        item = SliceData(5, ks, mask)
+        assert item.columns.dtype == dtype
+        assert item.columns.shape == (coils, rows, int(mask.sampled.sum()))
+        out = item.kspace
+        assert out.dtype == np.complex128
+        assert out.tobytes() == ks.astype(np.complex128).tobytes()
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[...] = 0
+        ks[...] = 1.0  # the slice holds a copy
+        assert np.array_equal(item.kspace, out) and item.kspace is not out
+
+        off = np.flatnonzero(~mask.sampled)
+        if off.size:
+            bad = np.zeros(shape, dtype)
+            bad[coils - 1, rows - 1, off[-1]] = 1e-30j
+            with pytest.raises(ValueError, match="slice 5"):
+                SliceData(5, bad, mask)
+
+    def test_width_must_match_the_mask(self):
+        mask = make_random_mask(16, 4.0, 0.1, seed=0)
+        with pytest.raises(ValueError, match="slice 2"):
+            SliceData(2, np.zeros((2, 16, 15), complex), mask)
 
 
 class TestDCProjection:
@@ -315,6 +354,24 @@ class TestTrainStep:
         for a, b in zip(inputs_a, inputs_b):
             assert np.array_equal(a, b)
         assert rep_a.l_recon != rep_b.l_recon
+
+    def test_complex64_inputs_train_like_their_complex128_upcast(self):
+        # file-precision k-space and sensitivities promote exactly: the same
+        # steps on their complex128 upcasts give byte-identical results
+        sens, slices, _ = make_fixture(coils=2, n=2)
+        sens64 = sens.astype(np.complex64)
+        ks64 = [item.kspace.astype(np.complex64) for item in slices]
+        runs = []
+        for wide in (False, True):
+            cfg = small_cfg(dtype="float32")
+            den, disc = build_models(cfg)
+            data = [SliceData(item.slice_id, ks.astype(np.complex128) if wide else ks,
+                              item.acquired) for item, ks in zip(slices, ks64)]
+            assert data[0].columns.dtype == (np.complex128 if wide else np.complex64)
+            tr = Trainer(den, disc, sens64.astype(np.complex128) if wide else sens64, cfg)
+            reports = [tr.train_step(data) for _ in range(2)]
+            runs.append((reports, den.state.params.tobytes(), disc.state.params.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_overfit_single_slice_loss_decreases(self):
         # adv_weight 0 isolates the optimized reconstruction objective; the

@@ -144,6 +144,17 @@ class TestTukey:
         q_expect = abs(a.mean() - b.mean()) / np.sqrt(msw / nh)
         assert table[0][2] == pytest.approx(q_expect, rel=1e-12)
 
+    def test_nan_q_gives_nan_p(self):
+        # inf - inf makes the within-group variance NaN, as anova_oneway's
+        with np.errstate(invalid="ignore"):
+            [(a, b, q, p)] = tukey_hsd([[np.inf, np.inf, np.inf], [1, 2, 3]])
+            assert np.isnan(anova_oneway([[np.inf, np.inf, np.inf], [1, 2, 3]])[1])
+        assert (a, b) == ("0", "1") and np.isnan(q) and np.isnan(p)
+
+    def test_no_within_group_spread_different_means_p_zero(self):
+        [(_, _, q, p)] = tukey_hsd([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        assert q == np.inf and p == 0.0
+
 
 class TestBootstrap:
     def test_constant_samples_degenerate(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssdiffmri import tensorio
 from ssdiffmri.tensorio import (BadMagicError, CkspError, DatasetManifest,
@@ -102,6 +103,17 @@ class TestFileFormat:
         path = tmp_path_factory.mktemp("rt") / "t.cksp"
         write_tensor(t, path)
         assert np.array_equal(read_tensor(path), t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.complex64, hnp.array_shapes(max_dims=3, max_side=5),
+                      elements=st.complex_numbers(width=64, allow_nan=False,
+                                                  allow_infinity=False)))
+    def test_complex64_round_trips_bit_for_bit(self, tmp_path_factory, t):
+        path = tmp_path_factory.mktemp("c64") / "t.cksp"
+        write_tensor(t, path)
+        back = read_tensor(path)
+        assert back.dtype == np.complex64 and back.shape == t.shape
+        assert back.tobytes() == t.tobytes()
 
 
 # JSON values of every kind, nested, for fuzzed headers
