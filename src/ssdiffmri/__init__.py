@@ -1,7 +1,7 @@
 """Self-supervised consistency-guided diffusion toolkit for CS-MRI phantoms."""
 
 from .diffusion import NoiseSchedule, make_schedule
-from .kspace import EncodingOperator, encode, encode_adjoint, fft2c, ifft2c, zero_filled
+from .kspace import EncodingOperator, encode, fft2c, ifft2c, zero_filled
 from .masks import MaskPartition, SamplingMask, apply_mask, make_random_mask, partition_mask
 from .metrics import nmse, psnr, ssim
 from .pipeline import ReconResult, SliceData, TrainConfig, Trainer, dc_project, reconstruct
@@ -14,7 +14,7 @@ __all__ = [
     "EncodingOperator", "MaskPartition", "NoiseSchedule", "ReconResult",
     "SamplingMask", "SliceData", "TrainConfig", "Trainer",
     "anova_oneway", "apply_mask", "bootstrap_ci", "dc_project", "encode",
-    "encode_adjoint", "fft2c", "generate_phantom", "generate_sensitivities",
+    "fft2c", "generate_phantom", "generate_sensitivities",
     "ifft2c", "make_random_mask", "make_schedule", "nmse", "partition_mask",
     "psnr", "read_tensor", "reconstruct", "ssim", "tukey_hsd", "write_tensor",
     "zero_filled",

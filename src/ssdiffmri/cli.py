@@ -22,7 +22,7 @@ from .masks import SamplingMask, apply_mask, make_random_mask
 from .losses import LossReport
 from .pipeline import SliceData, TrainConfig, Trainer, build_models, evaluate_run, reconstruct
 from .nets import load_checkpoint, save_checkpoint
-from .stats import compare_methods
+from .stats import MetricReport, compare_methods
 
 OUT_ROOT_ENV = "SSDIFFMRI_OUT"
 
@@ -47,7 +47,8 @@ def _prepare_out(path, force):
 
 
 def _load_dataset(path):
-    manifest = tensorio.DatasetManifest.load(os.path.join(path, "manifest.json"))
+    manifest = _parse_file(os.path.join(path, "manifest.json"),
+                           tensorio.DatasetManifest.from_json)
     manifest.validate(path)
     sens = tensorio.read_tensor(os.path.join(path, manifest.sens_path))
     return manifest, sens
@@ -281,16 +282,13 @@ def cmd_eval(args):
     return 0
 
 
-_METRICS = ("nmse", "psnr", "ssim")
-
-
 def _read_metric_csv(path):
     """Rows of an `eval` metrics CSV by slice id, metrics as floats; a
     missing column or a row that does not parse raises ValueError."""
     rows = {}
     with open(path) as f:
         header = f.readline().strip().split(",")
-        missing = [c for c in ("slice", "method") + _METRICS if c not in header]
+        missing = [c for c in ("slice", "method", *MetricReport.METRICS) if c not in header]
         if missing:
             raise ValueError(f"{path}: header lacks the columns {missing}")
         for n, line in enumerate(f, start=2):
@@ -303,7 +301,7 @@ def _read_metric_csv(path):
             rec = dict(zip(header, parts))
             try:
                 rows[int(rec["slice"])] = {"method": rec["method"],
-                                           **{m: float(rec[m]) for m in _METRICS}}
+                                           **{m: float(rec[m]) for m in MetricReport.METRICS}}
             except ValueError as exc:
                 raise ValueError(f"{path}, line {n}: {exc}") from exc
     return rows
@@ -324,7 +322,7 @@ def cmd_stats(args):
     out = _default_out(args, "stats_out")
     os.makedirs(out, exist_ok=True)
     results = {}
-    for metric in _METRICS:
+    for metric in MetricReport.METRICS:
         groups = {m: np.array([t[i][metric] for i in sorted(common)])
                   for m, t in tables.items()}
         res = compare_methods(groups)
@@ -382,6 +380,17 @@ def cmd_sweep(args):
     return 0
 
 
+def _at_least(kind, low):
+    """argparse type: a finite `kind` >= `low`, else a usage error naming the flag."""
+    def parse(text):
+        value = kind(text)
+        if not (np.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} >= {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="ssdiffmri",
                                 description=__doc__.splitlines()[0])
@@ -395,7 +404,7 @@ def build_parser():
 
     sp = sub.add_parser("phantom", help="generate a synthetic dataset")
     add_common(sp)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=_at_least(int, 1), default=200)
     sp.add_argument("--size", type=int, default=64)
     sp.add_argument("--coils", type=int, default=4)
     sp.add_argument("--ellipses", type=int, default=8)
@@ -407,7 +416,7 @@ def build_parser():
     sp.add_argument("--R", type=float, default=4.0)
     sp.add_argument("--center-fraction", type=float, default=0.04,
                     dest="center_fraction")
-    sp.add_argument("--noise-std", type=float, default=0.0, dest="noise_std")
+    sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
     sp.set_defaults(func=cmd_undersample)
 
     def add_train_flags(sp):
@@ -442,7 +451,7 @@ def build_parser():
     sp.add_argument("--recon", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--method", default="recon")
-    sp.add_argument("--n-boot", type=int, default=10000, dest="n_boot")
+    sp.add_argument("--n-boot", type=_at_least(int, 2), default=10000, dest="n_boot")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("stats", help="ANOVA and Tukey HSD across method reports")
@@ -459,8 +468,8 @@ def build_parser():
                     dest="R_grid")
     sp.add_argument("--center-fraction", type=float, default=0.04,
                     dest="center_fraction")
-    sp.add_argument("--noise-std", type=float, default=0.0, dest="noise_std")
-    sp.add_argument("--n-boot", type=int, default=1000, dest="n_boot")
+    sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
+    sp.add_argument("--n-boot", type=_at_least(int, 2), default=1000, dest="n_boot")
     add_train_flags(sp)
     sp.set_defaults(func=cmd_sweep)
     return p
@@ -473,7 +482,8 @@ def run(argv=None):
         parser.error("stats needs at least 2 metrics.csv reports")
     try:
         return args.func(args)
-    except (RuntimeError, OSError, ValueError, tensorio.CkspError) as exc:
+    except (RuntimeError, OSError, ValueError, FloatingPointError,
+            tensorio.CkspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

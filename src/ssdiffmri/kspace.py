@@ -77,10 +77,6 @@ class EncodingOperator:
                 f"mask width {self.mask.width} does not match cols {self.cols}"
             )
 
-    @property
-    def n_coils(self):
-        return self.sens.shape[0]
-
 
 def encode(x, op):
     """Forward encoding: masked coil k-space of one image or a stack."""
@@ -90,17 +86,13 @@ def encode(x, op):
     return forward_op(x, op.sens, op.mask.sampled)
 
 
-def encode_adjoint(y, op):
-    """Adjoint encoding: sum_c conj(S_c) * ifft2c(mask * y_c)."""
+def zero_filled(y, op):
+    """Adjoint encoding sum_c conj(S_c) * ifft2c(mask * y_c): the zero-filled
+    SENSE combine of masked k-space (the no-learning baseline)."""
     y = np.asarray(y)
-    if y.shape[-3:] != (op.n_coils, op.rows, op.cols):
+    if y.shape[-3:] != op.sens.shape:
         raise ValueError(f"k-space shape {y.shape} does not match operator")
     return adjoint_op(y, op.sens, op.mask.sampled)
-
-
-def zero_filled(y, op):
-    """Zero-filled SENSE combine of masked k-space (the no-learning baseline)."""
-    return encode_adjoint(y, op)
 
 
 def add_measurement_noise(y, std, seed=0):

@@ -11,8 +11,6 @@ import numpy as np
 from .diffusion import loss_weight
 from .kspace import fft2c
 
-DEFAULT_ADV_WEIGHT = 0.1
-
 
 @dataclass(frozen=True)
 class LossReport:
@@ -83,7 +81,7 @@ def recon_loss_masked(eps_true, eps_pred, loss_mask, t, sched):
     return loss_weight(t, sched) * total / n_kept
 
 
-def total_loss(l_recon, l_disc, l_gen, adv_weight=DEFAULT_ADV_WEIGHT):
+def total_loss(l_recon, l_disc, l_gen, adv_weight):
     """Weighted combination of the reconstruction and adversarial losses."""
     for v in (l_recon, l_disc, l_gen, adv_weight):
         if not np.isfinite(v):

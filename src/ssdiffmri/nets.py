@@ -257,7 +257,7 @@ class _BatchNorm:
         self.run_var = state.buffers[f"{name}.run_var"] = np.ones(channels, dtype)
         self._cache = None
 
-    def forward(self, x, train, keep_cache, update_running=True):
+    def forward(self, x, train, update_running=True):
         run_mean, run_var = self.run_mean, self.run_var
         B, H, W, C = x.shape
         if train:
@@ -276,8 +276,7 @@ class _BatchNorm:
         ivar = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc
         xhat *= np.tile(ivar, W)
-        if keep_cache:
-            self._cache = (xhat, ivar, train)
+        self._cache = (xhat, ivar, train)
         out = xhat * np.tile(self.gamma, W)
         out += np.tile(self.beta, W)
         return out.reshape(x.shape)
@@ -308,7 +307,9 @@ class _BatchNorm:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+    """Logistic function held below 1 (float32 rounds it to 1 from z = 17)."""
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+    return np.minimum(s, np.nextafter(s.dtype.type(1), 0))
 
 
 @dataclass(frozen=True)
@@ -367,11 +368,11 @@ class Denoiser:
         self.relus = [_ReLU() for _ in range(len(self.convs) - 1)]
         self._cached = False
 
-    def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+    def forward(self, y_t, t_frac, cond, keep_cache=False):
         """Map (noisy sample, step fraction, conditioning) to a clean estimate.
 
         `t_frac` is a length-B vector of t/T values injected as a constant
-        channel.
+        channel; `cond` has the shape of `y_t`.
         """
         y_t = np.asarray(y_t, dtype=self.dtype)
         B, H, W, C = y_t.shape
@@ -379,8 +380,6 @@ class Denoiser:
             raise ValueError("y_t must have 2 trailing channels (real, imag)")
         t_frac = np.asarray(t_frac, dtype=self.dtype).reshape(B, 1, 1, 1)
         tchan = np.broadcast_to(t_frac, (B, H, W, 1))
-        if cond is None:
-            cond = np.zeros_like(y_t)
         cond = np.asarray(cond, dtype=self.dtype)
         x = np.concatenate([y_t, tchan, cond], axis=-1)
         if x.shape[-1] != self.spec.channels[0]:
@@ -427,9 +426,9 @@ class Discriminator:
         self.head_b, self.head_db = self.state.add("head.b", (1,), 0.0)
         self._cache = None
 
-    def forward(self, sample, cond, train=False, keep_cache=False, update_running=True):
+    def forward(self, sample, cond, train=False, update_running=True):
         """Score each batch element in (0, 1); sample and conditioning are
-        concatenated as channels."""
+        concatenated as channels. The activations are cached for `backward`."""
         sample = np.asarray(sample, dtype=self.dtype)
         cond = np.asarray(cond, dtype=self.dtype)
         if sample.shape != cond.shape:
@@ -441,24 +440,24 @@ class Discriminator:
             )
         h = x
         for conv, relu, bn in zip(self.convs, self.relus, self.bns):
-            h = conv.forward(h, keep_cache)
-            h = relu.forward(h, keep_cache)
-            h = bn.forward(h, train, keep_cache, update_running)
+            h = conv.forward(h, keep_cache=True)
+            h = relu.forward(h, keep_cache=True)
+            h = bn.forward(h, train, update_running)
         B, H, W, C = h.shape
         pooled = np.ones(H * W, h.dtype) @ h.reshape(B, H * W, C) / (H * W)
         z = pooled @ self.head_w + self.head_b[0]
         score = _sigmoid(z)
-        if keep_cache:
-            self._cache = (pooled, score, h.shape)
+        self._cache = (pooled, score, h.shape, sample.shape[-1])
         return score
 
-    def backward(self, dscore, accumulate=True, input_grad=True):
-        """Backprop from per-element score gradients; returns the gradient
-        w.r.t. the concatenated input channels, or None when `input_grad`
-        is false (the first conv then skips forming it)."""
+    def backward(self, dscore, accumulate=True):
+        """Backprop from per-element score gradients. With `accumulate`, add
+        the parameter gradients and return None (the first conv skips its
+        input gradient); without, return the gradient w.r.t. the sample
+        channels and touch no parameter gradient."""
         if self._cache is None:
             raise RuntimeError("discriminator backward without cached forward")
-        pooled, score, hshape = self._cache
+        pooled, score, hshape, n_sample = self._cache
         dz = np.asarray(dscore, dtype=self.dtype) * score * (1.0 - score)
         if accumulate:
             self.head_dw += pooled.T @ dz
@@ -469,8 +468,8 @@ class Discriminator:
         for i in reversed(range(len(self.convs))):
             g = self.bns[i].backward(g, accumulate)
             g = self.relus[i].backward(g)
-            g = self.convs[i].backward(g, accumulate, input_grad or i > 0)
-        return g
+            g = self.convs[i].backward(g, accumulate, not accumulate or i > 0)
+        return None if accumulate else g[..., :n_sample]
 
     def input_grad(self, sample, cond, train=False):
         """Gradient of the summed scores w.r.t. the sample channels.
@@ -478,10 +477,8 @@ class Discriminator:
         Leaves parameter gradients untouched; running statistics are not
         updated by the extra forward pass.
         """
-        n = sample.shape[0]
-        self.forward(sample, cond, train=train, keep_cache=True, update_running=False)
-        g = self.backward(np.ones(n, dtype=self.dtype), accumulate=False)
-        return g[..., : sample.shape[-1]]
+        self.forward(sample, cond, train=train, update_running=False)
+        return self.backward(np.ones(sample.shape[0], dtype=self.dtype), accumulate=False)
 
     def penalty_param_grads(self, sample, cond, input_grads, scale, h=1e-3, train=False):
         """Accumulate d/dtheta of ``scale * 0.5 * sum_b ||input_grads[b]||^2``.
@@ -498,9 +495,8 @@ class Discriminator:
         n = sample.shape[0]
         coeff = scale / (2.0 * step)
         for sgn in (+1.0, -1.0):
-            self.forward(sample + sgn * bump, cond, train=train,
-                         keep_cache=True, update_running=False)
-            self.backward(np.full(n, sgn * coeff, dtype=self.dtype), input_grad=False)
+            self.forward(sample + sgn * bump, cond, train=train, update_running=False)
+            self.backward(np.full(n, sgn * coeff, dtype=self.dtype))
         self._cache = None
 
 

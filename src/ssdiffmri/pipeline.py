@@ -22,7 +22,7 @@ from .diffusion import (loss_weight, make_schedule, posterior_params_strided,
                         sample_forward_jump, sample_yt)
 from .kspace import EncodingOperator, adjoint_op, forward_op, zero_filled
 from .losses import LossReport, disc_loss, gen_loss, total_loss
-from .masks import SamplingMask, partition_mask, stack_columns
+from .masks import partition_mask, stack_columns
 from .metrics import nmse, psnr, ssim
 from .nets import Denoiser, DenoiserSpec, Discriminator, DiscriminatorSpec, adam_step
 from .stats import MetricReport
@@ -145,56 +145,50 @@ class ReconResult:
     image: np.ndarray
     model_calls: int
     wall_time: float
-    config: dict
-    final_kspace: np.ndarray = None
+    final_kspace: np.ndarray
 
 
-def build_models(cfg, n_cond_channels=2):
-    den_spec = DenoiserSpec(
-        channels=(2 + 1 + n_cond_channels,) + (cfg.hidden,) * 4 + (2,))
+def build_models(cfg):
+    # denoiser input: noisy sample (2), step (1), zero-filled conditioning (2)
+    den_spec = DenoiserSpec(channels=(5,) + (cfg.hidden,) * 4 + (2,))
     disc_spec = DiscriminatorSpec(width=cfg.disc_width)
     dtype = cfg.np_dtype()
     return (Denoiser(den_spec, seed=cfg.seed, dtype=dtype),
             Discriminator(disc_spec, seed=cfg.seed + 1, dtype=dtype))
 
 
-def _columns(mask):
-    """Boolean column mask of a SamplingMask, or of a list of per-slice
-    masks stacked to broadcast over a batch."""
-    return mask.sampled if isinstance(mask, SamplingMask) else stack_columns(mask)
-
-
-def dc_project_kspace(pred_img, measured_ks, sens, mask):
+def dc_project_kspace(pred_img, measured_ks, sens, cols):
     """Coil k-space of the prediction with the measured columns swapped in.
 
-    `mask` is one SamplingMask, or a list of them for a batch of
-    predictions (B, H, W) with measurements (B, coils, H, W).
+    `cols` is a boolean column mask: (W,) for one prediction (H, W), or
+    ``stack_columns``'s (B, 1, 1, W) for a batch of predictions (B, H, W)
+    with measurements (B, coils, H, W).
     """
-    return np.where(_columns(mask), measured_ks, forward_op(pred_img, sens))
+    return np.where(cols, measured_ks, forward_op(pred_img, sens))
 
 
-def dc_project(pred_img, measured_ks, sens, mask):
+def dc_project(pred_img, measured_ks, sens, cols):
     """Data-consistency projection returned as coil-combined images."""
     pred_img = np.asarray(pred_img)
     measured_ks = np.asarray(measured_ks)
     expect = pred_img.shape[:-2] + (sens.shape[0],) + pred_img.shape[-2:]
     if measured_ks.shape != expect:
         raise ValueError("measured k-space shape does not match sens/prediction")
-    return adjoint_op(dc_project_kspace(pred_img, measured_ks, sens, mask), sens)
+    return adjoint_op(dc_project_kspace(pred_img, measured_ks, sens, cols), sens)
 
 
-def dc_backward(grad_img, sens, mask):
-    """Adjoint of the linear part of the DC projection.
+def dc_backward(grad_img, sens, cols):
+    """Adjoint of the linear part of the DC projection with the column
+    mask `cols`, shaped as for `dc_project_kspace`.
 
     The projection is affine in the prediction with a self-adjoint linear
     part, the normal operator A^H A of the complement mask, so the backward
     pass applies that operator to the upstream gradient.
     """
-    outside = ~_columns(mask)
-    return adjoint_op(forward_op(grad_img, sens, outside), sens)
+    return adjoint_op(forward_op(grad_img, sens, ~cols), sens)
 
 
-def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_mask, t, sched):
+def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_cols, t, sched):
     """Loss-column k-space residual loss and its gradient w.r.t. the prediction.
 
     With ``r = M_loss (A y0_pred - y)``, the loss of each slice is
@@ -202,14 +196,14 @@ def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_mask, t, sched):
     noise-prediction loss ``recon_loss_masked`` of the loss columns (the
     noise and y_t cancel), and its gradient is
     ``2 w(t) abar_t / (1 - abar_t) / n_kept * A^H r``. For one slice `t` is
-    a scalar and `loss_mask` a SamplingMask; for a batch `t` is (B, 1, 1)
-    and `loss_mask` a list of masks. The loss has the shape of `t`.
+    a scalar and `loss_cols` a (W,) column mask; for a batch `t` is
+    (B, 1, 1) and `loss_cols` ``stack_columns``'s (B, 1, 1, W). The loss
+    has the shape of `t`.
     """
-    cols = _columns(loss_mask)
     ab = sched.alpha_bar[t]
-    n_kept = sens.shape[0] * sens.shape[1] * np.count_nonzero(cols, axis=-1)
+    n_kept = sens.shape[0] * sens.shape[1] * np.count_nonzero(loss_cols, axis=-1)
     scale = 2.0 * loss_weight(t, sched) * (ab / (1.0 - ab)) / n_kept
-    r = forward_op(y0_pred, sens, cols) - np.where(cols, measured_ks, 0)
+    r = forward_op(y0_pred, sens, loss_cols) - np.where(loss_cols, measured_ks, 0)
     sq = np.reshape(np.sum(np.abs(r) ** 2, axis=(-3, -2, -1)), np.shape(t))
     return 0.5 * scale * sq, scale * adjoint_op(r, sens)
 
@@ -273,9 +267,9 @@ class Trainer:
             rng = self._rng(2, item.slice_id, step)
             z.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         t = np.array(t_list)[:, None, None]
-        train_masks = [p.train for p in parts]
+        train_cols = stack_columns([p.train for p in parts])
         kspace = np.stack([item.kspace for item in batch])
-        ks_train = np.where(stack_columns(train_masks), kspace, 0)
+        ks_train = np.where(train_cols, kspace, 0)
 
         y0_in = adjoint_op(ks_train, sens)
         y_t = sample_yt(y0_in, t, np.stack(eps), sched)
@@ -287,28 +281,26 @@ class Trainer:
         # train mask; the later step y_{t+k} anchors the fake-sample posterior
         # and conditions the discriminator
         pred_raw = self.denoiser.forward(y_t_ch, t[:, 0, 0] / cfg.T,
-                                         complex_to_channels(y0_in),
-                                         train=True, keep_cache=True)
+                                         complex_to_channels(y0_in), keep_cache=True)
         if not np.all(np.isfinite(pred_raw)):
             raise FloatingPointError(
                 f"non-finite generator output at step {step} "
                 f"(slices {[b.slice_id for b in batch]})")
         pred_c = channels_to_complex(np.asarray(pred_raw, np.float64))
-        y0_pred = dc_project(pred_c, ks_train, sens, train_masks)
+        y0_pred = dc_project(pred_c, ks_train, sens, train_cols)
         mu, var = posterior_params_strided(y_tk, y0_pred, t + k, t, sched)
         y_hat_ch = complex_to_channels(mu + np.sqrt(var) * np.stack(z))
         ab_tk, ab_t = sched.alpha_bar[t + k], sched.alpha_bar[t]
         c_pred = np.sqrt(ab_t) * (1.0 - ab_tk / ab_t) / (1.0 - ab_tk)
 
         # discriminator phase: real pair, fake pair, input-gradient penalty
-        d_real = self.disc.forward(y_t_ch, y_tk_ch, train=True, keep_cache=True)
-        self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)), input_grad=False)
-        d_fake = self.disc.forward(y_hat_ch, y_tk_ch, train=True, keep_cache=True)
-        self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)),
-                           input_grad=False)
+        d_real = self.disc.forward(y_t_ch, y_tk_ch, train=True)
+        self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)))
+        d_fake = self.disc.forward(y_hat_ch, y_tk_ch, train=True)
+        self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
         # the penalty's input gradient reuses the d_fake forward cache: the
         # parameters, the batch and the train-mode BN statistics are the same
-        gi = self.disc.backward(np.ones(B, self.disc.dtype), accumulate=False)[..., :2]
+        gi = self.disc.backward(np.ones(B, self.disc.dtype), accumulate=False)
         pen = np.sum(np.asarray(gi, np.float64) ** 2, axis=(1, 2, 3))
         self.disc.penalty_param_grads(y_hat_ch, y_tk_ch, gi, scale=1.0 / B,
                                       train=True)
@@ -316,18 +308,17 @@ class Trainer:
         adam_step(self.disc.state, cfg.lr)
 
         # generator phase against the updated, frozen discriminator
-        d_fake2 = self.disc.forward(y_hat_ch, y_tk_ch, train=False, keep_cache=True)
+        d_fake2 = self.disc.forward(y_hat_ch, y_tk_ch, train=False)
         l_g = gen_loss(d_fake2)
         g_adv_ch = self.disc.backward(
-            -cfg.adv_weight / (B * np.clip(d_fake2, 1e-12, None)),
-            accumulate=False)[..., :2]
+            -cfg.adv_weight / (B * np.clip(d_fake2, 1e-12, None)), accumulate=False)
         g_adv = channels_to_complex(np.asarray(g_adv_ch, np.float64))
 
         l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens,
-                                           [p.loss for p in parts], t, sched)
+                                           stack_columns([p.loss for p in parts]), t, sched)
         l_recon = float(np.sum(l_rec)) / B
         g_y0 = g_rec / B + c_pred * g_adv
-        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, train_masks)))
+        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, train_cols)))
         adam_step(self.denoiser.state, cfg.lr)
 
         l_final = total_loss(l_recon, l_d, l_g, cfg.adv_weight)
@@ -387,10 +378,10 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
     calls = 0
     for t in ts:
         pred_ch = model.forward(complex_to_channels(y[None]), np.array([t / cfg.T]),
-                                cond_ch, train=False)
+                                cond_ch)
         calls += 1
         pred = channels_to_complex(np.asarray(pred_ch, np.float64))[0]
-        y0_hat = dc_project(pred, measured_ks, sens, acquired)
+        y0_hat = dc_project(pred, measured_ks, sens, acquired.sampled)
         s = t - cfg.stride_k if t - cfg.stride_k >= 2 else 0
         if s == 0:
             y = y0_hat
@@ -401,13 +392,12 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
         if not np.all(np.isfinite(y)):
             raise FloatingPointError(f"non-finite sampler state at step {t}")
 
-    final_ks = dc_project_kspace(y, measured_ks, sens, acquired)
+    final_ks = dc_project_kspace(y, measured_ks, sens, acquired.sampled)
     image = adjoint_op(final_ks, sens)
     if not (np.all(np.isfinite(final_ks)) and np.all(np.isfinite(image))):
         raise FloatingPointError("non-finite reconstruction")
     return ReconResult(image=image, model_calls=calls,
-                       wall_time=time.perf_counter() - t0,
-                       config=cfg.to_dict(), final_kspace=final_ks)
+                       wall_time=time.perf_counter() - t0, final_kspace=final_ks)
 
 
 def evaluate_run(recons, truths, method="recon", n_boot=10000, seed=0):

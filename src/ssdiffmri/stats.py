@@ -40,7 +40,7 @@ class MetricReport:
         so each interval equals ``bootstrap_ci`` with the same arguments."""
         draw = functools.cache(lambda n: _resample_index(n, n_boot, seed))
         for name in self.METRICS:
-            vals = _check_samples(getattr(self, name), level)
+            vals = _check_samples(getattr(self, name), level, n_boot)
             self.means[name] = float(np.mean(vals))
             self.ci[name] = _bca_interval(vals, level, draw)
         return self
@@ -117,12 +117,14 @@ def _fdtrc(d1, d2, f):
     return 1.0 - front * _betainc_cf(b, a, y) / b
 
 
-def _check_samples(samples, level):
+def _check_samples(samples, level, n_boot):
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be at least 2, got {n_boot}")
     return x
 
 
@@ -137,7 +139,7 @@ def bootstrap_ci(samples, n_boot=10000, level=0.95, seed=0):
     Constant samples yield a degenerate zero-width interval rather than an
     error. Deterministic given the seed.
     """
-    x = _check_samples(samples, level)
+    x = _check_samples(samples, level, n_boot)
     return _bca_interval(x, level, lambda n: _resample_index(n, n_boot, seed))
 
 

@@ -11,6 +11,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "filterwarnings",
         f"error::{_COMPLEX_WARNING.__module__}.{_COMPLEX_WARNING.__qualname__}")
+    # a RuntimeWarning means numpy overflowed, divided by zero or made a NaN
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 def record_criterion(n, passed, detail):

@@ -42,7 +42,7 @@ def undersampled(dataset, tmp_path_factory):
 
 class TestPhantom:
     def test_outputs_exist(self, dataset):
-        man = tensorio.DatasetManifest.load(dataset / "manifest.json")
+        man = tensorio.DatasetManifest.from_json((dataset / "manifest.json").read_text())
         assert len(man.slices) == 6
         man.validate(dataset)
 
@@ -98,7 +98,7 @@ class TestUndersample:
         u = tmp_path / "full"
         assert invoke("undersample", "--data", str(dataset), "--R", "1",
                       "--out", str(u)) == 0
-        man = tensorio.DatasetManifest.load(dataset / "manifest.json")
+        man = tensorio.DatasetManifest.from_json((dataset / "manifest.json").read_text())
         sens = tensorio.read_tensor(dataset / "sens.cksp")
         from ssdiffmri.kspace import EncodingOperator, encode
         from ssdiffmri.masks import SamplingMask
@@ -287,7 +287,7 @@ class TestReconEvalStats:
     def test_eval_identity_gives_perfect_metrics(self, dataset, tmp_path):
         fake = tmp_path / "identity"
         os.makedirs(fake / "recons")
-        man = tensorio.DatasetManifest.load(dataset / "manifest.json")
+        man = tensorio.DatasetManifest.from_json((dataset / "manifest.json").read_text())
         for i, rel in enumerate(man.slices):
             t = tensorio.read_tensor(dataset / rel)
             tensorio.write_tensor(t, fake / "recons" / f"slice_{i:04d}.cksp")
@@ -493,6 +493,35 @@ class TestBadInput:
                       "--hidden", "8", "--disc-width", "4", "--seed", "11") == 1
         err = capsys.readouterr().err
         assert "denoiser.conv0.w.cksp" in err and "(45, 6)" in err and "(45, 8)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--n-boot", "0"), ("eval", "--n-boot", "1"), ("sweep", "--n-boot", "1"),
+        ("undersample", "--noise-std", "nan"), ("undersample", "--noise-std", "-1"),
+        ("sweep", "--noise-std", "inf"), ("phantom", "--n", "0"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_flag_value_exits_2_naming_flag(self, dataset, recon_dirs, tmp_path,
+                                                capsys, argv):
+        inputs = {"eval": ("--recon", str(recon_dirs[0]), "--truth", str(dataset)),
+                  "sweep": ("--data", str(dataset), "--rho-grid", "0.5", "--R-grid", "2",
+                            "--max-steps", "1", "--hidden", "4", "--disc-width", "4"),
+                  "undersample": ("--data", str(dataset)),
+                  "phantom": ("--size", "16", "--coils", "1")}[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, *inputs, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: " in err and "Traceback" not in err
+
+    def test_recon_non_finite_sampler_state_exits_1(self, undersampled, trained, tmp_path,
+                                                    capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise FloatingPointError("non-finite sampler state at step 50")
+
+        monkeypatch.setattr(cli, "reconstruct", diverging)
+        assert invoke("recon", "--data", str(undersampled), "--run", str(trained),
+                      "--out", str(tmp_path / "rec")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_stats_single_report_exits_2(self, dataset, recon_dirs, tmp_path):
         rec, _ = recon_dirs

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdiffmri.kspace import (EncodingOperator, add_measurement_noise, adjoint_op,
-                              encode, encode_adjoint, fft2c, forward_op, ifft2c,
-                              zero_filled)
+                              encode, fft2c, forward_op, ifft2c, zero_filled)
 from ssdiffmri.masks import make_random_mask, stack_columns
 from ssdiffmri.metrics import nmse
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
@@ -98,13 +97,13 @@ class TestEncoding:
         rng = np.random.default_rng(0)
         x = _rand_image(rng, rows, cols)
         np.testing.assert_allclose(encode(x, op)[0], fft2c(x), atol=1e-12)
-        np.testing.assert_allclose(encode_adjoint(encode(x, op), op), ifft2c(fft2c(x)),
+        np.testing.assert_allclose(zero_filled(encode(x, op), op), ifft2c(fft2c(x)),
                                    atol=1e-12)
 
     def test_zero_image(self, operator):
         y = encode(np.zeros((32, 32), complex), operator)
         assert np.all(y == 0)
-        assert np.all(encode_adjoint(np.zeros((4, 32, 32), complex), operator) == 0)
+        assert np.all(zero_filled(np.zeros((4, 32, 32), complex), operator) == 0)
 
     def test_unsampled_columns_zero(self, operator):
         rng = np.random.default_rng(4)
@@ -113,7 +112,7 @@ class TestEncoding:
         assert np.all(y[..., unsampled] == 0)
 
     def test_adjoint_inner_product(self):
-        # <encode(x), y> == <x, encode_adjoint(y)> over random draws
+        # <encode(x), y> == <x, zero_filled(y)> over random draws
         rng = np.random.default_rng(5)
         worst = 0.0
         for trial in range(100):
@@ -123,7 +122,7 @@ class TestEncoding:
             x = _rand_image(rng, 64, 64)
             y = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))
             lhs = np.vdot(y, encode(x, op))
-            rhs = np.vdot(encode_adjoint(y, op), x)
+            rhs = np.vdot(zero_filled(y, op), x)
             worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y)))
         assert worst < 1e-6
 
@@ -140,7 +139,7 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode(np.zeros((16, 16), complex), operator)
         with pytest.raises(ValueError):
-            encode_adjoint(np.zeros((2, 32, 32), complex), operator)
+            zero_filled(np.zeros((2, 32, 32), complex), operator)
 
 
 class TestBatchedOperator:
@@ -159,7 +158,7 @@ class TestBatchedOperator:
         assert np.array_equal(forward_op(x, sens, batch_cols),
                               np.stack([encode(x[b], op) for b, op in enumerate(ops)]))
         assert np.array_equal(adjoint_op(y, sens, batch_cols),
-                              np.stack([encode_adjoint(y[b], op)
+                              np.stack([zero_filled(y[b], op)
                                         for b, op in enumerate(ops)]))
 
     @settings(max_examples=40, deadline=None)

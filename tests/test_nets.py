@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssdiffmri import tensorio
+from ssdiffmri.losses import disc_loss, gen_loss
 from ssdiffmri.nets import (BN_EPS, Denoiser, DenoiserSpec, Discriminator,
                             DiscriminatorSpec, ModelState, _BatchNorm,
                             _channel_sum, _Conv3x3, _im2col_blocks, _pad, adam_step,
@@ -74,7 +75,7 @@ class TestDenoiser:
         rng = np.random.default_rng(1)
         tiny_denoiser.state.params[:] = 0.0
         y = rng.standard_normal((2, 8, 8, 2))
-        out = tiny_denoiser.forward(y, np.array([0.1, 0.9]))
+        out = tiny_denoiser.forward(y, np.array([0.1, 0.9]), np.zeros_like(y))
         np.testing.assert_array_equal(out, y)
 
     def test_eval_determinism(self, tiny_denoiser):
@@ -90,7 +91,7 @@ class TestDenoiser:
     def test_output_shape(self, tiny_denoiser, size):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((1, size, size, 2))
-        out = tiny_denoiser.forward(y, np.array([0.5]))
+        out = tiny_denoiser.forward(y, np.array([0.5]), np.zeros_like(y))
         assert out.shape == (1, size, size, 2)
 
     def test_param_gradients_match_fd(self, tiny_denoiser):
@@ -102,10 +103,10 @@ class TestDenoiser:
         target = rng.standard_normal((2, 8, 8, 2))
 
         def loss():
-            out = den.forward(y, t, c, train=True)
+            out = den.forward(y, t, c)
             return 0.5 * float(np.sum((out - target) ** 2))
 
-        out = den.forward(y, t, c, train=True, keep_cache=True)
+        out = den.forward(y, t, c, keep_cache=True)
         den.state.zero_grads()
         den.backward(out - target)
         err = fd_param_check(den.state, loss, den.state.grads.copy(), rng,
@@ -116,7 +117,7 @@ class TestDenoiser:
         rng = np.random.default_rng(5)
         den = tiny_denoiser
         y = rng.standard_normal((1, 8, 8, 2))
-        den.forward(y, np.array([0.5]), train=True, keep_cache=True)
+        den.forward(y, np.array([0.5]), np.zeros_like(y), keep_cache=True)
         den.state.zero_grads()
         den.backward(np.zeros((1, 8, 8, 2)))
         assert np.all(den.state.grads == 0)
@@ -127,7 +128,7 @@ class TestDenoiser:
         y = rng.standard_normal((1, 8, 8, 2))
         g1 = rng.standard_normal((1, 8, 8, 2))
         g2 = rng.standard_normal((1, 8, 8, 2))
-        den.forward(y, np.array([0.5]), train=True, keep_cache=True)
+        den.forward(y, np.array([0.5]), np.zeros_like(y), keep_cache=True)
         den.state.zero_grads()
         den.backward(g1)
         a = den.state.grads.copy()
@@ -143,8 +144,8 @@ class TestDenoiser:
         # first conv forms only its parameter gradients
         rng = np.random.default_rng(19)
         den = tiny_denoiser
-        den.forward(rng.standard_normal((2, 8, 8, 2)), np.array([0.2, 0.6]),
-                    train=True, keep_cache=True)
+        y = rng.standard_normal((2, 8, 8, 2))
+        den.forward(y, np.array([0.2, 0.6]), np.zeros_like(y), keep_cache=True)
         assert den.backward(rng.standard_normal((2, 8, 8, 2))) is None
         conv0 = den.convs[0]
         g = rng.standard_normal((2, 8, 8, conv0.cout))
@@ -161,7 +162,7 @@ class TestDenoiser:
 
     def test_channel_mismatch_rejected(self, tiny_denoiser):
         with pytest.raises(ValueError):
-            tiny_denoiser.forward(np.zeros((1, 8, 8, 3)), np.array([0.5]))
+            tiny_denoiser.forward(np.zeros((1, 8, 8, 3)), np.array([0.5]), np.zeros((1, 8, 8, 3)))
 
 
 class TestDiscriminator:
@@ -197,7 +198,7 @@ class TestDiscriminator:
             sc = disc.forward(s, c, train=True, update_running=False)
             return float(np.sum(-np.log(sc)))
 
-        sc = disc.forward(s, c, train=True, keep_cache=True, update_running=False)
+        sc = disc.forward(s, c, train=True, update_running=False)
         disc.state.zero_grads()
         disc.backward(-1.0 / sc)
         err = fd_param_check(disc.state, loss, disc.state.grads.copy(), rng,
@@ -251,25 +252,38 @@ class TestDiscriminator:
         rng = np.random.default_rng(5)
         s = rng.standard_normal((3, 8, 8, 2))
         c = rng.standard_normal((3, 8, 8, 2))
-        tiny_disc.forward(s, c, train=True, keep_cache=True)
+        tiny_disc.forward(s, c, train=True)
         tiny_disc.backward(rng.standard_normal(3))
-        cached = tiny_disc.backward(np.ones(3), accumulate=False)[..., :2]
+        cached = tiny_disc.backward(np.ones(3), accumulate=False)
         assert np.array_equal(cached, tiny_disc.input_grad(s, c, train=True))
 
     @pytest.mark.parametrize("train", [True, False])
-    def test_backward_without_input_grad_keeps_param_grads(self, tiny_disc, train):
+    def test_backward_modes_are_disjoint(self, tiny_disc, train):
+        # accumulating adds parameter gradients and returns nothing; the
+        # other mode returns the sample channels' gradient and adds none
         rng = np.random.default_rng(6)
         s = rng.standard_normal((3, 8, 8, 2))
         c = rng.standard_normal((3, 8, 8, 2))
         dscore = rng.standard_normal(3)
-        grads = []
-        for input_grad in (True, False):
-            tiny_disc.state.zero_grads()
-            tiny_disc.forward(s, c, train=train, keep_cache=True, update_running=False)
-            got = tiny_disc.backward(dscore, input_grad=input_grad)
-            assert (got is None) == (not input_grad)
-            grads.append(tiny_disc.state.grads.tobytes())
-        assert grads[0] == grads[1]
+        tiny_disc.state.zero_grads()
+        tiny_disc.forward(s, c, train=train, update_running=False)
+        assert tiny_disc.backward(dscore) is None
+        grads = tiny_disc.state.grads.copy()
+        assert np.all(np.isfinite(grads)) and np.any(grads != 0)
+        g = tiny_disc.backward(dscore, accumulate=False)
+        assert g.shape == s.shape and np.any(g != 0)
+        assert np.array_equal(tiny_disc.state.grads, grads)
+
+    def test_float32_score_stays_below_one(self):
+        # float32 rounds the sigmoid of a logit >= 17 to exactly 1, which
+        # the losses refuse: the score stops at the largest float32 below 1
+        disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=np.float32)
+        disc.head_b[0] = 20.0
+        s = np.random.default_rng(21).standard_normal((2, 8, 8, 2))
+        for train in (True, False):
+            scores = disc.forward(s, s.copy(), train=train, update_running=False)
+            assert scores.dtype == np.float32 and np.all(scores < 1)
+            assert np.isfinite(disc_loss(scores, scores) + gen_loss(scores))
 
     def test_penalty_param_grads_match_fd(self, tiny_disc):
         rng = np.random.default_rng(15)
@@ -359,7 +373,7 @@ class TestChannelOps:
         g = rng.standard_normal(x.shape).astype(dtype)
         want = _textbook_bn(x, g, bn.gamma, bn.beta, bn.run_mean.copy(),
                             bn.run_var.copy(), train)
-        y = bn.forward(x, train, keep_cache=True, update_running=False)
+        y = bn.forward(x, train, update_running=False)
         dx = bn.backward(g, accumulate=True)
         assert y.dtype == dx.dtype == dtype
         assert y.shape == dx.shape == x.shape
@@ -370,7 +384,7 @@ class TestChannelOps:
         rng = np.random.default_rng(21)
         bn = _BatchNorm(ModelState(8, np.float64), "bn", 4)
         x = rng.standard_normal((2, 6, 6, 4)) + 3.0
-        bn.forward(x, train=True, keep_cache=False)
+        bn.forward(x, train=True)
         np.testing.assert_allclose(bn.run_mean, 0.1 * x.mean(axis=(0, 1, 2)), rtol=1e-12)
         np.testing.assert_allclose(bn.run_var, 0.9 + 0.1 * x.var(axis=(0, 1, 2)),
                                    rtol=1e-12)
@@ -388,10 +402,9 @@ class TestChannelOps:
         r = rng.standard_normal(x.shape)
 
         def loss():
-            return float(np.sum(r * bn.forward(x, train, keep_cache=False,
-                                               update_running=False)))
+            return float(np.sum(r * bn.forward(x, train, update_running=False)))
 
-        bn.forward(x, train, keep_cache=True, update_running=False)
+        bn.forward(x, train, update_running=False)
         dx = bn.backward(r, accumulate=False)
         h = 1e-6
         flat = x.ravel()
@@ -538,7 +551,7 @@ class TestCheckpoint:
         # float32 states round-trip bit-exactly through the c64 container
         disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=np.float32)
         s = rng.standard_normal((2, 8, 8, 2)).astype(np.float32)
-        disc.forward(s, s.copy(), train=True, keep_cache=True)
+        disc.forward(s, s.copy(), train=True)
         disc.backward(np.ones(2, np.float32))
         adam_step(disc.state, lr=1e-3)
         save_state(disc.state, tmp_path, "disc")
@@ -560,7 +573,7 @@ class TestCheckpoint:
 
     def test_loaded_state_drives_the_layers(self, tmp_path, tiny_disc):
         s = np.random.default_rng(6).standard_normal((2, 8, 8, 2))
-        tiny_disc.forward(s, s.copy(), train=True, keep_cache=True)
+        tiny_disc.forward(s, s.copy(), train=True)
         tiny_disc.backward(np.ones(2))
         adam_step(tiny_disc.state, lr=1e-2)
         save_state(tiny_disc.state, tmp_path, "disc")
@@ -610,7 +623,7 @@ class TestCheckpoint:
     def test_files_match_a_save_through_complex128(self, tmp_path, monkeypatch, dtype):
         disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=dtype)
         s = np.random.default_rng(4).standard_normal((2, 8, 8, 2)).astype(dtype)
-        disc.forward(s, s.copy(), train=True, keep_cache=True)
+        disc.forward(s, s.copy(), train=True)
         disc.backward(np.ones(2, dtype))
         adam_step(disc.state, lr=1e-3)
         save_state(disc.state, tmp_path / "real", "disc")
@@ -633,7 +646,7 @@ class TestSnapshot:
         snap = state.snapshot()
         copies = [a.copy() for a in (state.params, state.m, state.v)]
         buffers = {k: v.copy() for k, v in state.buffers.items()}
-        tiny_disc.forward(s, s.copy(), train=True, keep_cache=True)
+        tiny_disc.forward(s, s.copy(), train=True)
         tiny_disc.backward(np.ones(2))
         adam_step(state, lr=1e-2)
         tiny_disc.backward(np.ones(2))

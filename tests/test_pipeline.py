@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from ssdiffmri.diffusion import make_schedule, sample_yt
 from ssdiffmri.kspace import EncodingOperator, encode, ifft2c, zero_filled
 from ssdiffmri.losses import recon_loss_masked
-from ssdiffmri.masks import SamplingMask, apply_mask, make_random_mask, partition_mask
+from ssdiffmri.masks import (SamplingMask, apply_mask, make_random_mask, partition_mask,
+                             stack_columns)
 from ssdiffmri.metrics import nmse, ssim
 from ssdiffmri import pipeline
 from ssdiffmri.nets import Denoiser
@@ -125,7 +126,7 @@ class TestDCProjection:
     def test_fixed_point_single_coil(self):
         sens, slices, phantoms = make_fixture(coils=1)
         item, ph = slices[0], phantoms[0]
-        out = dc_project(ph, item.kspace, sens, item.acquired)
+        out = dc_project(ph, item.kspace, sens, item.acquired.sampled)
         assert np.max(np.abs(out - ph)) < 1e-6
 
     def test_idempotent_single_coil(self):
@@ -133,8 +134,8 @@ class TestDCProjection:
         rng = np.random.default_rng(1)
         pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         item = slices[0]
-        once = dc_project(pred, item.kspace, sens, item.acquired)
-        twice = dc_project(once, item.kspace, sens, item.acquired)
+        once = dc_project(pred, item.kspace, sens, item.acquired.sampled)
+        twice = dc_project(once, item.kspace, sens, item.acquired.sampled)
         assert np.max(np.abs(twice - once)) < 1e-6 * max(1.0, np.max(np.abs(once)))
 
     def test_kspace_equality_single_coil(self):
@@ -142,7 +143,7 @@ class TestDCProjection:
         rng = np.random.default_rng(2)
         pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         item = slices[0]
-        out = dc_project(pred, item.kspace, sens, item.acquired)
+        out = dc_project(pred, item.kspace, sens, item.acquired.sampled)
         op = EncodingOperator(sens, item.acquired, 32, 32)
         re_enc = encode(out, op)
         cols = item.acquired.indices()
@@ -156,7 +157,7 @@ class TestDCProjection:
         rng = np.random.default_rng(3)
         pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         item = slices[0]
-        ks = dc_project_kspace(pred, item.kspace, sens, item.acquired)
+        ks = dc_project_kspace(pred, item.kspace, sens, item.acquired.sampled)
         cols = item.acquired.indices()
         assert np.array_equal(ks[..., cols], item.kspace[..., cols])
 
@@ -167,8 +168,8 @@ class TestDCProjection:
         rng = np.random.default_rng(4)
         pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         item = slices[0]
-        once = dc_project(pred, item.kspace, sens, item.acquired)
-        twice = dc_project(once, item.kspace, sens, item.acquired)
+        once = dc_project(pred, item.kspace, sens, item.acquired.sampled)
+        twice = dc_project(once, item.kspace, sens, item.acquired.sampled)
         assert np.linalg.norm(twice - once) <= np.linalg.norm(once - pred) + 1e-12
 
     def test_backward_is_self_adjoint(self):
@@ -177,8 +178,8 @@ class TestDCProjection:
         rng = np.random.default_rng(6)
         u = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         v = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        lhs = np.vdot(v, dc_backward(u, sens, item.acquired))
-        rhs = np.vdot(dc_backward(v, sens, item.acquired), u)
+        lhs = np.vdot(v, dc_backward(u, sens, item.acquired.sampled))
+        rhs = np.vdot(dc_backward(v, sens, item.acquired.sampled), u)
         assert abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)) < 1e-10
 
     def test_backward_matches_affine_difference(self):
@@ -187,30 +188,32 @@ class TestDCProjection:
         item = slices[0]
         rng = np.random.default_rng(7)
         x = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        lin = (dc_project(x, item.kspace, sens, item.acquired)
-               - dc_project(np.zeros_like(x), item.kspace, sens, item.acquired))
-        np.testing.assert_allclose(lin, dc_backward(x, sens, item.acquired), atol=1e-10)
+        lin = (dc_project(x, item.kspace, sens, item.acquired.sampled)
+               - dc_project(np.zeros_like(x), item.kspace, sens, item.acquired.sampled))
+        np.testing.assert_allclose(lin, dc_backward(x, sens, item.acquired.sampled),
+                                   atol=1e-10)
 
     def test_shape_mismatch(self):
         sens, slices, _ = make_fixture(coils=2)
         with pytest.raises(ValueError):
             dc_project(np.zeros((16, 16), complex), slices[0].kspace, sens,
-                       slices[0].acquired)
+                       slices[0].acquired.sampled)
 
     def test_batch_matches_per_slice(self):
-        # a list of per-slice masks projects a batch exactly as slice by slice
+        # stacked per-slice columns project a batch exactly as slice by slice
         sens, slices, _ = make_fixture(coils=4, n=3)
         rng = np.random.default_rng(8)
         pred = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
         meas = np.stack([item.kspace for item in slices])
         masks = [item.acquired for item in slices]
+        cols = stack_columns(masks)
         for fn in (dc_project, dc_project_kspace):
             assert np.array_equal(
-                fn(pred, meas, sens, masks),
-                np.stack([fn(pred[i], meas[i], sens, masks[i]) for i in range(3)]))
+                fn(pred, meas, sens, cols),
+                np.stack([fn(pred[i], meas[i], sens, masks[i].sampled) for i in range(3)]))
         assert np.array_equal(
-            dc_backward(pred, sens, masks),
-            np.stack([dc_backward(pred[i], sens, masks[i]) for i in range(3)]))
+            dc_backward(pred, sens, cols),
+            np.stack([dc_backward(pred[i], sens, masks[i].sampled) for i in range(3)]))
 
 
 class TestReconLoss:
@@ -239,7 +242,7 @@ class TestReconLoss:
         eps_true = (sens * (eps + coef * y0_in)
                     - coef * ifft2c(apply_mask(item.kspace, part.loss)))
         oracle = recon_loss_masked(eps_true, eps_pred, part.loss, t, sched)
-        loss, _ = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss, t, sched)
+        loss, _ = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss.sampled, t, sched)
         assert oracle > 0
         assert abs(loss - oracle) <= 1e-12 * oracle
 
@@ -248,10 +251,10 @@ class TestReconLoss:
         # quadratic, so central differences carry rounding error only
         sens, item, part, y0_pred, sched = self._setup()
         t = 50
-        _, grad = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss, t, sched)
+        _, grad = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss.sampled, t, sched)
 
         def loss_at(x):
-            return float(recon_loss_and_grad(x, item.kspace, sens, part.loss,
+            return float(recon_loss_and_grad(x, item.kspace, sens, part.loss.sampled,
                                              t, sched)[0])
 
         rng = np.random.default_rng(10)
@@ -302,7 +305,7 @@ class TestTrainStep:
         class Oracle:
             state = den.state
 
-            def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+            def forward(self, y_t, t_frac, cond, keep_cache=False):
                 return complex_to_channels(np.stack(phantoms[:y_t.shape[0]]))
 
             def backward(self, upstream):
@@ -321,10 +324,10 @@ class TestTrainStep:
         seen = []
 
         class Recorder(Denoiser):
-            def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+            def forward(self, y_t, t_frac, cond, keep_cache=False):
                 seen.append((np.asarray(y_t).copy(), np.asarray(t_frac).copy(),
                              np.asarray(cond).copy()))
-                return super().forward(y_t, t_frac, cond, train, keep_cache)
+                return super().forward(y_t, t_frac, cond, keep_cache)
 
         def run(data):
             den, disc = build_models(cfg)
@@ -453,7 +456,7 @@ class _TruthOracle:
     def __init__(self, truth):
         self.truth = truth
 
-    def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+    def forward(self, y_t, t_frac, cond, keep_cache=False):
         return complex_to_channels(self.truth[None]).repeat(y_t.shape[0], axis=0)
 
 
@@ -545,7 +548,7 @@ class TestReconstruct:
         class LastCallNaN(_TruthOracle):
             calls = 0
 
-            def forward(self, y_t, t_frac, cond=None, train=False, keep_cache=False):
+            def forward(self, y_t, t_frac, cond, keep_cache=False):
                 out = super().forward(y_t, t_frac, cond)
                 self.calls += 1
                 if self.calls == 2:

@@ -195,6 +195,11 @@ class TestBootstrap:
             bootstrap_ci(np.array([1.0]))
         with pytest.raises(ValueError):
             bootstrap_ci(np.array([1.0, 2.0]), level=1.5)
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_ci(np.array([1.0, 2.0]), n_boot=1)
+        rep = MetricReport(method="m", nmse=np.ones(3), psnr=np.ones(3), ssim=np.ones(3))
+        with pytest.raises(ValueError, match="n_boot"):
+            rep.finalize(n_boot=1)
 
 
 class TestReports:

@@ -90,6 +90,13 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             write_tensor(t, tmp_path / "nan.cksp")
 
+    def test_value_beyond_float32_refused_before_writing(self, tmp_path):
+        # 1e39 is finite in float64 but inf in the complex64 payload
+        path = tmp_path / "big.cksp"
+        with pytest.raises(ValueError):
+            write_tensor(np.array([1e39, 1.0]), path)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CkspError):
             read_tensor(tmp_path / "absent.cksp")
@@ -255,7 +262,7 @@ class TestManifest:
         write_tensor(t, tmp_path / "s0.cksp")
         man.slices.append("s0.cksp")
         man.save(tmp_path / "manifest.json")
-        back = DatasetManifest.load(tmp_path / "manifest.json")
+        back = DatasetManifest.from_json((tmp_path / "manifest.json").read_text())
         assert back == man
         back.validate(tmp_path)
 
