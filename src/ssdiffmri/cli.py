@@ -46,11 +46,20 @@ def _prepare_out(path, force):
     os.makedirs(path, exist_ok=True)
 
 
+def _read_shaped(path, shape):
+    """The tensor in the CKSP file `path`, which must have the given shape."""
+    t = tensorio.read_tensor(path)
+    if t.shape != shape:
+        raise ValueError(f"{path}: tensor of shape {t.shape}, expected {shape}")
+    return t
+
+
 def _load_dataset(path):
     manifest = _parse_file(os.path.join(path, "manifest.json"),
                            tensorio.DatasetManifest.from_json)
     manifest.validate(path)
-    sens = tensorio.read_tensor(os.path.join(path, manifest.sens_path))
+    sens = _read_shaped(os.path.join(path, manifest.sens_path),
+                        (manifest.n_coils, manifest.rows, manifest.cols))
     return manifest, sens
 
 
@@ -86,7 +95,7 @@ def cmd_undersample(args):
             "seed": args.seed, "noise_std": args.noise_std,
             "dataset": os.path.abspath(args.data)}
     for i, rel in enumerate(manifest.slices):
-        ph = tensorio.read_tensor(os.path.join(args.data, rel))
+        ph = _read_shaped(os.path.join(args.data, rel), sens.shape[1:])
         mask = make_random_mask(manifest.cols, args.R, args.center_fraction,
                                 seed=args.seed + i)
         op = EncodingOperator(sens, mask, manifest.rows, manifest.cols)
@@ -126,7 +135,7 @@ def _load_undersampled(path):
     for i in range(len(manifest.slices)):
         mask = _parse_file(os.path.join(path, "masks", f"slice_{i:04d}.mask.json"),
                            SamplingMask.from_json)
-        ks = tensorio.read_tensor(os.path.join(path, "kspace", f"slice_{i:04d}.cksp"))
+        ks = _read_shaped(os.path.join(path, "kspace", f"slice_{i:04d}.cksp"), sens.shape)
         slices.append(SliceData(i, ks, mask))
     return meta, manifest, sens, slices
 
@@ -158,8 +167,8 @@ def _train_config_from_args(args, meta, meta_path):
                       **{name: getattr(args, name) for name in _TRAIN_FLAGS})
     cfg = _config_from_dict({"R": meta["R"]}, meta_path, base=cfg.to_dict())
     if args.config:
-        with open(args.config) as f:
-            cfg = _config_from_dict(json.load(f), args.config, base=cfg.to_dict())
+        cfg = _config_from_dict(_parse_file(args.config, json.loads), args.config,
+                                base=cfg.to_dict())
     return cfg
 
 
@@ -203,8 +212,7 @@ def cmd_train(args):
 
 def _load_models_for_recon(run_dir):
     path = os.path.join(run_dir, "config.json")
-    with open(path) as f:
-        cfg = _config_from_dict(json.load(f), path)
+    cfg = _config_from_dict(_parse_file(path, json.loads), path)
     den, disc = build_models(cfg)
     load_checkpoint(os.path.join(run_dir, "checkpoints", "final"), den.state, disc.state)
     return cfg, den, disc
@@ -250,9 +258,9 @@ def cmd_zerofill(args):
     return 0
 
 
-def _read_recons(recon_dir, n_slices):
-    """Recons of truth slices 0..n_slices-1, paired by the slice id in
-    their file names; a file or an id without a partner is an error."""
+def _read_recons(recon_dir, n_slices, shape):
+    """Recons of `shape` for truth slices 0..n_slices-1, paired by the slice
+    id in their file names; a file or an id without a partner is an error."""
     folder = os.path.join(recon_dir, "recons")
     names = [f"slice_{i:04d}.cksp" for i in range(n_slices)]
     present = set(os.listdir(folder))
@@ -261,13 +269,13 @@ def _read_recons(recon_dir, n_slices):
     if stray or missing:
         raise RuntimeError(f"{folder}: files without a truth slice {stray}, "
                            f"truth slice ids without a recon {missing}")
-    return [tensorio.read_tensor(os.path.join(folder, name)) for name in names]
+    return [_read_shaped(os.path.join(folder, name), shape) for name in names]
 
 
 def cmd_eval(args):
-    manifest, _ = _load_dataset(args.truth)
-    recons = _read_recons(args.recon, len(manifest.slices))
-    truths = [tensorio.read_tensor(os.path.join(args.truth, rel))
+    manifest, sens = _load_dataset(args.truth)
+    recons = _read_recons(args.recon, len(manifest.slices), sens.shape[1:])
+    truths = [_read_shaped(os.path.join(args.truth, rel), sens.shape[1:])
               for rel in manifest.slices]
     report = evaluate_run(recons, truths, method=args.method,
                           n_boot=args.n_boot, seed=args.seed)
@@ -340,8 +348,8 @@ def cmd_sweep(args):
     per-slice metrics into one CSV mirroring the split-ratio figure axes."""
     out = _default_out(args, "sweep_out")
     _prepare_out(out, args.force)
-    manifest, _ = _load_dataset(args.data)
-    truths = [tensorio.read_tensor(os.path.join(args.data, rel))
+    manifest, sens = _load_dataset(args.data)
+    truths = [_read_shaped(os.path.join(args.data, rel), sens.shape[1:])
               for rel in manifest.slices]
 
     def sub_args(**overrides):
@@ -364,7 +372,7 @@ def cmd_sweep(args):
             cmd_recon(sub_args(data=os.path.join(sub, "undersampled"),
                                run=os.path.join(sub, "run"),
                                out=os.path.join(sub, "recon")))
-            recons = _read_recons(os.path.join(sub, "recon"), len(truths))
+            recons = _read_recons(os.path.join(sub, "recon"), len(truths), sens.shape[1:])
             report = evaluate_run(recons, truths, method=tag,
                                   n_boot=args.n_boot, seed=args.seed)
             for i in range(len(recons)):

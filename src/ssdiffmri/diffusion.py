@@ -113,19 +113,6 @@ def posterior_params(y_t, y0, t, sched):
     return posterior_params_strided(y_t, y0, t, t - 1, sched)
 
 
-def mu_from_prediction(y_t, y0_hat, t, sched, s=None):
-    """Model-side posterior mean with the prediction standing in for y0.
-
-    Shares the posterior code path, so a perfect prediction reproduces the
-    true posterior mean bit-for-bit.
-    """
-    if s is None:
-        sched.check_t(t, lowest=2)
-        s = t - 1
-    mu, _ = posterior_params_strided(y_t, y0_hat, t, s, sched)
-    return mu
-
-
 def loss_weight(t, sched):
     """Step-dependent coefficient of the noise-space reconstruction loss."""
     sched.check_t(t, lowest=2)

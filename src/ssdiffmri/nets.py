@@ -471,20 +471,11 @@ class Discriminator:
             g = self.convs[i].backward(g, accumulate, not accumulate or i > 0)
         return None if accumulate else g[..., :n_sample]
 
-    def input_grad(self, sample, cond, train=False):
-        """Gradient of the summed scores w.r.t. the sample channels.
-
-        Leaves parameter gradients untouched; running statistics are not
-        updated by the extra forward pass.
-        """
-        self.forward(sample, cond, train=train, update_running=False)
-        return self.backward(np.ones(sample.shape[0], dtype=self.dtype), accumulate=False)
-
-    def penalty_param_grads(self, sample, cond, input_grads, scale, h=1e-3, train=False):
+    def penalty_param_grads(self, sample, cond, input_grads, scale, h=1e-3):
         """Accumulate d/dtheta of ``scale * 0.5 * sum_b ||input_grads[b]||^2``.
 
-        Uses a centered finite difference of the backward pass along the
-        cached input gradient, which avoids hand-written double backprop;
+        Uses a centered finite difference of the train-mode backward pass
+        along the cached input gradient, which avoids hand-written double backprop;
         the O(h^2) error is negligible for a regularizer.
         """
         gnorm = float(np.sqrt(np.mean(input_grads**2)))
@@ -492,11 +483,10 @@ class Discriminator:
             return
         step = h / gnorm
         bump = step * input_grads
-        n = sample.shape[0]
         coeff = scale / (2.0 * step)
         for sgn in (+1.0, -1.0):
-            self.forward(sample + sgn * bump, cond, train=train, update_running=False)
-            self.backward(np.full(n, sgn * coeff, dtype=self.dtype))
+            self.forward(sample + sgn * bump, cond, train=True, update_running=False)
+            self.backward(np.full(len(sample), sgn * coeff, dtype=self.dtype))
         self._cache = None
 
 

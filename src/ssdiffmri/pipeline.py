@@ -188,6 +188,16 @@ def dc_backward(grad_img, sens, cols):
     return adjoint_op(forward_op(grad_img, sens, ~cols), sens)
 
 
+def predict_clean(model, y, t_frac, cond, measured_ks, sens, cols, keep_cache=False):
+    """The generator: the model's clean image from noisy images `y` (B, H, W)
+    at step fractions `t_frac` given images `cond`, in float64, projected onto
+    `measured_ks` (B, coils, H, W) at the train or acquired columns `cols`."""
+    pred = model.forward(complex_to_channels(y), t_frac, complex_to_channels(cond),
+                         keep_cache=keep_cache)
+    return dc_project(channels_to_complex(np.asarray(pred, np.float64)), measured_ks,
+                      sens, cols)
+
+
 def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_cols, t, sched):
     """Loss-column k-space residual loss and its gradient w.r.t. the prediction.
 
@@ -206,6 +216,17 @@ def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_cols, t, sched):
     r = forward_op(y0_pred, sens, loss_cols) - np.where(loss_cols, measured_ks, 0)
     sq = np.reshape(np.sum(np.abs(r) ** 2, axis=(-3, -2, -1)), np.shape(t))
     return 0.5 * scale * sq, scale * adjoint_op(r, sens)
+
+
+@dataclass
+class StepDraws:
+    """The random draws of one training step, stacked over the batch."""
+    train_cols: np.ndarray   # (B, 1, 1, W): the columns the model sees
+    loss_cols: np.ndarray    # (B, 1, 1, W): the columns the loss scores
+    t: np.ndarray            # (B, 1, 1) integer steps
+    eps: np.ndarray          # (B, H, W) complex noise of the jump to y_t
+    eps2: np.ndarray         # noise of the jump from y_t to y_{t+k}
+    z: np.ndarray            # noise of the fake sample's posterior draw
 
 
 class Trainer:
@@ -229,11 +250,6 @@ class Trainer:
     def train_step(self, batch):
         """One discriminator + generator update over a batch of slices.
 
-        Each slice draws its partition seed, step t, and noise from its own
-        stream ``[seed, 1, slice_id, step]`` (and the posterior noise from
-        ``[seed, 2, slice_id, step]``); everything after the draws runs on
-        the whole batch at once.
-
         A step is all or nothing: if it raises, both nets are restored to
         their state before it (params, Adam moments, buffers and step
         counts, so global_step too) with zero gradients, and the exception
@@ -249,86 +265,91 @@ class Trainer:
             raise
 
     def _update(self, batch):
-        cfg, sched, sens = self.cfg, self.sched, self.sens
-        grid = cfg.train_grid
         step = self.global_step
-        B = len(batch)
-        k = cfg.stride_k
-        shape = sens.shape[1:]
+        draws = self._draw(batch, step)
+        kspace = np.stack([item.kspace for item in batch])
+        real, fake, cond, y0_pred = self._generate(batch, kspace, draws, step)
+        l_d = self._disc_phase(real, fake, cond)
+        l_recon, l_g = self._gen_phase(fake, cond, y0_pred, kspace, draws)
+        l_final = total_loss(l_recon, l_d, l_g, self.cfg.adv_weight)
+        if not np.isfinite(l_final):
+            raise FloatingPointError(
+                f"non-finite loss at step {step}: recon={l_recon} d={l_d} g={l_g}")
+        return LossReport(l_recon=l_recon, l_disc=l_d, l_gen=l_g, l_final=l_final,
+                          t=int(draws.t[0, 0, 0]), slice_id=batch[0].slice_id, step=step)
 
-        parts, t_list, eps, eps2, z = [], [], [], [], []
+    def _draw(self, batch, step):
+        """Each slice's partition, t and noises from the stream ``[seed, 1,
+        slice_id, step]``, its posterior noise from ``[seed, 2, slice_id, step]``."""
+        grid, shape = self.cfg.train_grid, self.sens.shape[1:]
+        parts, t, eps, eps2, z = [], [], [], [], []
         for item in batch:
             rng = self._rng(1, item.slice_id, step)
-            parts.append(partition_mask(item.acquired, cfg.rho,
+            parts.append(partition_mask(item.acquired, self.cfg.rho,
                                         seed=int(rng.integers(2**31))))
-            t_list.append(int(grid[rng.integers(len(grid))]))
+            t.append(grid[rng.integers(len(grid))])
             eps.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             eps2.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             rng = self._rng(2, item.slice_id, step)
             z.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        t = np.array(t_list)[:, None, None]
-        train_cols = stack_columns([p.train for p in parts])
-        kspace = np.stack([item.kspace for item in batch])
-        ks_train = np.where(train_cols, kspace, 0)
+        return StepDraws(stack_columns([p.train for p in parts]),
+                         stack_columns([p.loss for p in parts]),
+                         np.array(t)[:, None, None], *map(np.stack, (eps, eps2, z)))
 
+    def _generate(self, batch, kspace, draws, step):
+        """Noise the train-column image to y_t and y_{t+k}, predict from y_t
+        and draw the fake from the posterior at y_{t+k}. Returns y_t, the
+        fake and y_{t+k} as the discriminator's channels, and the prediction."""
+        cfg, sched, sens = self.cfg, self.sched, self.sens
+        t, tk = draws.t, draws.t + cfg.stride_k
+        ks_train = np.where(draws.train_cols, kspace, 0)
         y0_in = adjoint_op(ks_train, sens)
-        y_t = sample_yt(y0_in, t, np.stack(eps), sched)
-        y_tk = sample_forward_jump(y_t, t, t + k, np.stack(eps2), sched)
-        y_t_ch = complex_to_channels(y_t)
-        y_tk_ch = complex_to_channels(y_tk)
-
-        # generator predicts the clean image from y_t, consistency on the
-        # train mask; the later step y_{t+k} anchors the fake-sample posterior
-        # and conditions the discriminator
-        pred_raw = self.denoiser.forward(y_t_ch, t[:, 0, 0] / cfg.T,
-                                         complex_to_channels(y0_in), keep_cache=True)
-        if not np.all(np.isfinite(pred_raw)):
+        y_t = sample_yt(y0_in, t, draws.eps, sched)
+        y_tk = sample_forward_jump(y_t, t, tk, draws.eps2, sched)
+        y0_pred = predict_clean(self.denoiser, y_t, t[:, 0, 0] / cfg.T, y0_in, ks_train,
+                                sens, draws.train_cols, keep_cache=True)
+        if not np.all(np.isfinite(y0_pred)):
             raise FloatingPointError(
                 f"non-finite generator output at step {step} "
                 f"(slices {[b.slice_id for b in batch]})")
-        pred_c = channels_to_complex(np.asarray(pred_raw, np.float64))
-        y0_pred = dc_project(pred_c, ks_train, sens, train_cols)
-        mu, var = posterior_params_strided(y_tk, y0_pred, t + k, t, sched)
-        y_hat_ch = complex_to_channels(mu + np.sqrt(var) * np.stack(z))
-        ab_tk, ab_t = sched.alpha_bar[t + k], sched.alpha_bar[t]
-        c_pred = np.sqrt(ab_t) * (1.0 - ab_tk / ab_t) / (1.0 - ab_tk)
+        mu, var = posterior_params_strided(y_tk, y0_pred, tk, t, sched)
+        return (complex_to_channels(y_t), complex_to_channels(mu + np.sqrt(var) * draws.z),
+                complex_to_channels(y_tk), y0_pred)
 
-        # discriminator phase: real pair, fake pair, input-gradient penalty
-        d_real = self.disc.forward(y_t_ch, y_tk_ch, train=True)
-        self.disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)))
-        d_fake = self.disc.forward(y_hat_ch, y_tk_ch, train=True)
-        self.disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
+    def _disc_phase(self, real, fake, cond):
+        """Adam step of the discriminator on the real pair, the fake pair and
+        the input-gradient penalty at the fake pair; returns its loss."""
+        disc, B = self.disc, len(real)
+        d_real = disc.forward(real, cond, train=True)
+        disc.backward(-1.0 / (B * np.clip(d_real, 1e-12, None)))
+        d_fake = disc.forward(fake, cond, train=True)
+        disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
         # the penalty's input gradient reuses the d_fake forward cache: the
         # parameters, the batch and the train-mode BN statistics are the same
-        gi = self.disc.backward(np.ones(B, self.disc.dtype), accumulate=False)
+        gi = disc.backward(np.ones(B, disc.dtype), accumulate=False)
         pen = np.sum(np.asarray(gi, np.float64) ** 2, axis=(1, 2, 3))
-        self.disc.penalty_param_grads(y_hat_ch, y_tk_ch, gi, scale=1.0 / B,
-                                      train=True)
+        disc.penalty_param_grads(fake, cond, gi, scale=1.0 / B)
         l_d = disc_loss(d_real, d_fake, pen)
-        adam_step(self.disc.state, cfg.lr)
+        adam_step(disc.state, self.cfg.lr)
+        return l_d
 
-        # generator phase against the updated, frozen discriminator
-        d_fake2 = self.disc.forward(y_hat_ch, y_tk_ch, train=False)
-        l_g = gen_loss(d_fake2)
-        g_adv_ch = self.disc.backward(
-            -cfg.adv_weight / (B * np.clip(d_fake2, 1e-12, None)), accumulate=False)
-        g_adv = channels_to_complex(np.asarray(g_adv_ch, np.float64))
-
-        l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens,
-                                           stack_columns([p.loss for p in parts]), t, sched)
-        l_recon = float(np.sum(l_rec)) / B
-        g_y0 = g_rec / B + c_pred * g_adv
-        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, train_cols)))
+    def _gen_phase(self, fake, cond, y0_pred, kspace, draws):
+        """Adam step of the denoiser on the loss-column residual plus the
+        adversarial loss of the fake against the updated, frozen discriminator;
+        the fake moves with the prediction through the posterior mean."""
+        cfg, sched, sens, B = self.cfg, self.sched, self.sens, len(fake)
+        d_fake = self.disc.forward(fake, cond, train=False)
+        l_g = gen_loss(d_fake)
+        g_adv = self.disc.backward(-cfg.adv_weight / (B * np.clip(d_fake, 1e-12, None)),
+                                   accumulate=False)
+        l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens, draws.loss_cols,
+                                           draws.t, sched)
+        ab_tk, ab_t = sched.alpha_bar[draws.t + cfg.stride_k], sched.alpha_bar[draws.t]
+        c_pred = np.sqrt(ab_t) * (1.0 - ab_tk / ab_t) / (1.0 - ab_tk)  # d mu / d y0
+        g_y0 = g_rec / B + c_pred * channels_to_complex(np.asarray(g_adv, np.float64))
+        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, draws.train_cols)))
         adam_step(self.denoiser.state, cfg.lr)
-
-        l_final = total_loss(l_recon, l_d, l_g, cfg.adv_weight)
-        if not np.isfinite(l_final):
-            raise FloatingPointError(
-                f"non-finite loss at step {step}: recon={l_recon} d={l_d} g={l_g}")
-        report = LossReport(l_recon=l_recon, l_disc=float(l_d),
-                            l_gen=float(l_g), l_final=float(l_final),
-                            t=t_list[0], slice_id=batch[0].slice_id, step=step)
-        return report
+        return float(np.sum(l_rec)) / B, l_g
 
     def fit(self, slices, log=None):
         """Epoch loop with a seeded slice order; stops at max_steps if set.
@@ -367,36 +388,29 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
                            "to sample from an untrained model")
     t0 = time.perf_counter()
     sens = np.asarray(sens, dtype=np.complex128)
-    op = EncodingOperator(sens, acquired, sens.shape[1], sens.shape[2])
-    zf = zero_filled(measured_ks, op)
+    zf = zero_filled(measured_ks, EncodingOperator(sens, acquired, *sens.shape[1:]))
     rng = np.random.default_rng([seed & 0x7FFFFFFF, 4])
     std = np.sqrt(cfg.init_noise_var)
     y = zf + std * (rng.standard_normal(zf.shape) + 1j * rng.standard_normal(zf.shape))
-    cond_ch = complex_to_channels(zf[None])
-
-    ts = list(range(cfg.inference_start, 1, -cfg.stride_k))
-    calls = 0
-    for t in ts:
-        pred_ch = model.forward(complex_to_channels(y[None]), np.array([t / cfg.T]),
-                                cond_ch)
-        calls += 1
-        pred = channels_to_complex(np.asarray(pred_ch, np.float64))[0]
-        y0_hat = dc_project(pred, measured_ks, sens, acquired.sampled)
-        s = t - cfg.stride_k if t - cfg.stride_k >= 2 else 0
+    ts = range(cfg.inference_start, 1, -cfg.stride_k)
+    grid = list(zip(ts, [*ts[1:], 0]))
+    for t, s in grid:
+        y0_hat = predict_clean(model, y[None], np.array([t / cfg.T]), zf[None],
+                               measured_ks[None], sens, acquired.sampled)[0]
         if s == 0:
             y = y0_hat
-            break
-        mu, var = posterior_params_strided(y, y0_hat, t, s, sched)
-        z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        y = mu + np.sqrt(var) * z
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite sampler state at step {t}")
+        else:
+            mu, var = posterior_params_strided(y, y0_hat, t, s, sched)
+            z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+            y = mu + np.sqrt(var) * z
+            if not np.all(np.isfinite(y)):
+                raise FloatingPointError(f"non-finite sampler state at step {t}")
 
     final_ks = dc_project_kspace(y, measured_ks, sens, acquired.sampled)
     image = adjoint_op(final_ks, sens)
     if not (np.all(np.isfinite(final_ks)) and np.all(np.isfinite(image))):
         raise FloatingPointError("non-finite reconstruction")
-    return ReconResult(image=image, model_calls=calls,
+    return ReconResult(image=image, model_calls=len(grid),
                        wall_time=time.perf_counter() - t0, final_kspace=final_ks)
 
 

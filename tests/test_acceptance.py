@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from ssdiffmri.diffusion import (forward_step, make_schedule, mu_from_prediction,
-                                 posterior_params)
+from ssdiffmri.diffusion import (forward_step, make_schedule, posterior_params,
+                                 posterior_params_strided)
 from ssdiffmri.kspace import EncodingOperator, encode, fft2c
 from ssdiffmri.masks import make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, psnr, ssim
@@ -98,7 +98,7 @@ def test_criterion_2_diffusion_identities():
     yt = rng2.standard_normal((8, 8))
     y0a = rng2.standard_normal((8, 8))
     exact = np.array_equal(posterior_params(yt, y0a, 30, sched)[0],
-                           mu_from_prediction(yt, y0a, 30, sched))
+                           posterior_params_strided(yt, y0a, 30, 29, sched)[0])
     dt = time.perf_counter() - t0
     ok = mean_err < 0.02 and var_err < 0.02 and bayes_err < 1e-8 and exact and dt < 30
     record_criterion(2, ok, f"MC mean {mean_err:.3%}, var {var_err:.3%}, "
@@ -158,7 +158,8 @@ def test_criterion_3_gradient_contract():
     err_disc = probe(disc.state, disc_loss_fn, disc.state.grads.copy(), 20)
 
     # input gradient (the penalty path), eval mode for a per-sample function
-    g_in = disc.input_grad(s, c, train=False)
+    disc.forward(s, c, train=False)
+    g_in = disc.backward(np.ones(B), accumulate=False)
     errs = []
     flat = s.ravel()
     h = 1e-5

@@ -532,6 +532,53 @@ class TestBadInput:
             invoke("stats", str(ev / "only.metrics.csv"), "--out", str(tmp_path / "s"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,target,corruption", [
+        ("train", "config.json", "json"),
+        ("recon", "run/config.json", "json"),
+        ("undersample", "data/sens.cksp", (3, 32, 32)),
+        ("train", "data/sens.cksp", (3, 32, 32)),
+        ("zerofill", "data/sens.cksp", (2, 16, 16)),
+        ("zerofill", "under/kspace/slice_0001.cksp", (2, 16, 32)),
+        ("undersample", "data/slices/slice_0002.cksp", (16, 16)),
+        ("eval", "data/slices/slice_0002.cksp", (16, 16)),
+        ("eval", "rec/recons/slice_0001.cksp", (8, 8)),
+        ("sweep", "data/slices/slice_0002.cksp", (16, 16)),
+    ], ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
+    def test_bad_file_exits_1_naming_it(self, dataset, undersampled, trained, recon_dirs,
+                                        tmp_path, capsys, command, target, corruption):
+        # each command reads copies of the fixtures, one of them corrupted:
+        # a malformed JSON file, or a tensor whose shape the others contradict
+        shutil.copytree(dataset, tmp_path / "data")
+        shutil.copytree(undersampled, tmp_path / "under")
+        shutil.copytree(trained, tmp_path / "run")
+        shutil.copytree(recon_dirs[0], tmp_path / "rec")
+        meta = json.loads((tmp_path / "under" / "meta.json").read_text())
+        (tmp_path / "under" / "meta.json").write_text(
+            json.dumps({**meta, "dataset": str(tmp_path / "data")}))
+        (tmp_path / "config.json").write_text("{}")
+        path = tmp_path / target
+        if corruption == "json":
+            path.write_text('{"lr": 1e-3,\n}')
+        else:
+            tensorio.write_tensor(np.ones(corruption, np.complex64), path)
+
+        def d(name):
+            return str(tmp_path / name)
+
+        argv = {
+            "undersample": ["--data", d("data")],
+            "train": ["--data", d("under"), "--config", d("config.json"),
+                      "--max-steps", "1", "--hidden", "6", "--disc-width", "4"],
+            "recon": ["--data", d("under"), "--run", d("run")],
+            "zerofill": ["--data", d("under")],
+            "eval": ["--recon", d("rec"), "--truth", d("data"), "--n-boot", "50"],
+            "sweep": ["--data", d("data"), "--rho-grid", "0.5", "--R-grid", "2",
+                      "--max-steps", "1", "--n-boot", "50"],
+        }[command]
+        assert invoke(command, *argv, "--out", d("out")) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
     def _recon_copy(self, recon_dirs, tmp_path):
         rec = tmp_path / "rec"
         shutil.copytree(recon_dirs[0], rec)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ssdiffmri.diffusion import (forward_step, loss_weight,
-                                 make_schedule, mu_from_prediction,
+from ssdiffmri.diffusion import (forward_step, loss_weight, make_schedule,
                                  posterior_params, posterior_params_strided,
                                  sample_forward_jump, sample_yt)
 
@@ -179,7 +178,7 @@ class TestMuFromPrediction:
         yt = rng.standard_normal(6)
         y0 = rng.standard_normal(6)
         mu_q, _ = posterior_params(yt, y0, 30, sched100)
-        mu_phi = mu_from_prediction(yt, y0, 30, sched100)
+        mu_phi = posterior_params_strided(yt, y0, 30, 29, sched100)[0]
         assert np.array_equal(mu_q, mu_phi)
 
     def test_zero_prediction_drops_term(self, sched100):
@@ -188,7 +187,8 @@ class TestMuFromPrediction:
         a_eff = sched100.alpha_bar[t] / sched100.alpha_bar[t - 1]
         expect = (np.sqrt(a_eff) * (1 - sched100.alpha_bar[t - 1]) * yt
                   / (1 - sched100.alpha_bar[t]))
-        np.testing.assert_allclose(mu_from_prediction(yt, np.zeros(2), t, sched100),
+        np.testing.assert_allclose(posterior_params_strided(yt, np.zeros(2), t, t - 1,
+                                                            sched100)[0],
                                    expect, rtol=1e-12)
 
     def test_linear_in_prediction(self, sched100):
@@ -197,10 +197,13 @@ class TestMuFromPrediction:
         u = rng.standard_normal(4)
         v = rng.standard_normal(4)
         a, b = 0.3, -1.2
-        lhs = mu_from_prediction(yt, a * u + b * v, 15, sched100)
-        shared = mu_from_prediction(yt, np.zeros(4), 15, sched100)
-        rhs = (a * (mu_from_prediction(yt, u, 15, sched100) - shared)
-               + b * (mu_from_prediction(yt, v, 15, sched100) - shared) + shared)
+
+        def mu(y0):
+            return posterior_params_strided(yt, y0, 15, 14, sched100)[0]
+
+        lhs = mu(a * u + b * v)
+        shared = mu(np.zeros(4))
+        rhs = a * (mu(u) - shared) + b * (mu(v) - shared) + shared
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

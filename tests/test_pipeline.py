@@ -427,6 +427,44 @@ class TestTrainStep:
         assert np.array_equal(den.state.params, den2.state.params)
         assert np.array_equal(disc.state.v, disc2.state.v)
 
+    def test_denoiser_gradient_matches_fd_end_to_end(self, monkeypatch):
+        # the phases composed: with the draws and the updated discriminator
+        # held fixed, the gradient the step hands to Adam is the derivative
+        # of l_recon + adv_weight * l_g through the DC projection, the
+        # posterior mean and the discriminator
+        sens, slices, _ = make_fixture(rows=16, coils=2, n=2)
+        cfg = small_cfg(hidden=4, disc_width=4)
+        tr = Trainer(*build_models(cfg), sens, cfg)
+        draws = tr._draw(slices, 0)
+        kspace = np.stack([item.kspace for item in slices])
+        tr._disc_phase(*tr._generate(slices, kspace, draws, 0)[:3])
+        handed = []
+
+        def record(state, lr):
+            handed.append(state.grads.copy())
+            state.zero_grads()
+
+        monkeypatch.setattr(pipeline, "adam_step", record)
+
+        def loss():
+            _, fake, cond, y0_pred = tr._generate(slices, kspace, draws, 0)
+            l_recon, l_g = tr._gen_phase(fake, cond, y0_pred, kspace, draws)
+            return l_recon + cfg.adv_weight * l_g
+
+        loss()
+        grads, params = handed[0], tr.denoiser.state.params
+        rng, h, errs = np.random.default_rng(0), 1e-6, []
+        for i in rng.choice(params.size, 30, replace=False):
+            p0 = params[i]
+            params[i] = p0 + h
+            lp = loss()
+            params[i] = p0 - h
+            lm = loss()
+            params[i] = p0
+            fd = (lp - lm) / (2 * h)
+            errs.append(abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-8))
+        assert max(errs) < 1e-4
+
     def test_fit_continues_from_global_step(self):
         sens, slices, _ = make_fixture(coils=1, n=3)
         cfg = small_cfg(epochs=2)
@@ -530,6 +568,24 @@ class TestReconstruct:
         assert isinstance(res, ReconResult)
         assert res.model_calls >= 1
 
+
+    @pytest.mark.parametrize("t_start", [1, 2, 26, 50, 100])
+    def test_grid_edges(self, t_start):
+        # one model call per grid step, from t_start down by stride_k while
+        # t >= 2, and the acquired columns pinned even on an empty grid
+        ph, meas, om, sens, cfg, sched = self._two_step_problem()
+        cfg = TrainConfig(**{**cfg.to_dict(), "t_start": t_start})
+        seen = []
+
+        class Recorder(_TruthOracle):
+            def forward(self, y_t, t_frac, cond, keep_cache=False):
+                seen.append(round(float(t_frac[0]) * cfg.T))
+                return super().forward(y_t, t_frac, cond)
+
+        res = reconstruct(meas, om, sens, Recorder(ph), sched, cfg, seed=0)
+        steps = list(range(t_start, 1, -cfg.stride_k))
+        assert res.model_calls == len(steps) and seen == steps
+        assert np.array_equal(res.final_kspace[..., om.sampled], meas[..., om.sampled])
 
     def _two_step_problem(self):
         # grid [50, 25]: the second step is the last, which ends the loop
