@@ -253,7 +253,8 @@ class Trainer:
         A step is all or nothing: if it raises, both nets are restored to
         their state before it (params, Adam moments, buffers and step
         counts, so global_step too) with zero gradients, and the exception
-        propagates.
+        propagates. Either way both nets drop their activation caches, so
+        no step's activations outlive it.
         """
         states = (self.denoiser.state, self.disc.state)
         saved = [state.snapshot() for state in states]
@@ -263,6 +264,9 @@ class Trainer:
             for state, snap in zip(states, saved):
                 state.restore(snap)
             raise
+        finally:
+            self.denoiser.release_caches()
+            self.disc.release_caches()
 
     def _update(self, batch):
         step = self.global_step
@@ -271,10 +275,10 @@ class Trainer:
         real, fake, cond, y0_pred = self._generate(batch, kspace, draws, step)
         l_d = self._disc_phase(real, fake, cond)
         l_recon, l_g = self._gen_phase(fake, cond, y0_pred, kspace, draws)
-        l_final = total_loss(l_recon, l_d, l_g, self.cfg.adv_weight)
-        if not np.isfinite(l_final):
+        if not np.all(np.isfinite((l_recon, l_d, l_g))):
             raise FloatingPointError(
                 f"non-finite loss at step {step}: recon={l_recon} d={l_d} g={l_g}")
+        l_final = total_loss(l_recon, l_d, l_g, self.cfg.adv_weight)
         return LossReport(l_recon=l_recon, l_disc=l_d, l_gen=l_g, l_final=l_final,
                           t=int(draws.t[0, 0, 0]), slice_id=batch[0].slice_id, step=step)
 

@@ -8,9 +8,13 @@ Only numpy and the standard library are used: the normal CDF is
 ``math.erfc``, its inverse ``statistics.NormalDist().inv_cdf``, log-gamma
 ``math.lgamma``, and the F survival function a regularized incomplete beta
 evaluated by Lentz's continued fraction (``_fdtrc``).
+
+The bootstrap's ``(n_boot, n)`` resample index is never formed whole: it is
+drawn in blocks of rows, one after another from one ``default_rng(seed)``,
+which gives the same index as one draw, and each block is averaged for
+every metric before the next is drawn. Memory is one block, not n_boot rows.
 """
 
-import functools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ndtri = statistics.NormalDist().inv_cdf
-# resampled values gathered at a time when averaging bootstrap resamples
+# resampled values drawn and gathered at a time when averaging bootstrap resamples
 _GATHER = 1 << 16
 
 
@@ -38,11 +42,10 @@ class MetricReport:
     def finalize(self, n_boot=10000, level=0.95, seed=0):
         """Means and BCa intervals; the metrics share one resample index,
         so each interval equals ``bootstrap_ci`` with the same arguments."""
-        draw = functools.cache(lambda n: _resample_index(n, n_boot, seed))
-        for name in self.METRICS:
-            vals = _check_samples(getattr(self, name), level, n_boot)
-            self.means[name] = float(np.mean(vals))
-            self.ci[name] = _bca_interval(vals, level, draw)
+        vals = [_check_samples(getattr(self, name), level, n_boot) for name in self.METRICS]
+        for name, x, ci in zip(self.METRICS, vals, _bca_intervals(vals, level, n_boot, seed)):
+            self.means[name] = float(np.mean(x))
+            self.ci[name] = ci
         return self
 
     def to_aggregate(self):
@@ -128,37 +131,50 @@ def _check_samples(samples, level, n_boot):
     return x
 
 
-def _resample_index(n, n_boot, seed):
-    """The (n_boot, n) resample index every interval of this seed uses."""
-    return np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
-
-
 def bootstrap_ci(samples, n_boot=10000, level=0.95, seed=0):
     """Bias-corrected and accelerated bootstrap interval for the mean.
 
     Constant samples yield a degenerate zero-width interval rather than an
     error. Deterministic given the seed.
     """
-    x = _check_samples(samples, level, n_boot)
-    return _bca_interval(x, level, lambda n: _resample_index(n, n_boot, seed))
+    return _bca_intervals([_check_samples(samples, level, n_boot)], level, n_boot, seed)[0]
 
 
-def _bca_interval(x, level, draw):
-    """BCa interval of the mean of checked samples `x`; `draw(n)` returns
-    the resample index (called only for a non-degenerate interval)."""
-    theta = float(np.mean(x))
-    if not np.all(np.isfinite(x)) or np.ptp(x) == 0.0:
-        # constant (or infinite-sentinel) samples: degenerate interval
-        return theta, theta
+def _bca_intervals(xs, level, n_boot, seed):
+    """BCa intervals of the means of checked samples `xs` of one length,
+    all from the resample index of `seed`. Constant (or infinite-sentinel)
+    samples get a degenerate interval and are not resampled."""
+    live = [bool(np.all(np.isfinite(x)) and np.ptp(x) > 0.0) for x in xs]
+    boots = iter(_resample_means([x for x, ok in zip(xs, live) if ok], n_boot, seed))
+    return [_bca_interval(x, level, next(boots)) if ok else (float(np.mean(x)),) * 2
+            for x, ok in zip(xs, live)]
 
-    n = x.size
-    idx = draw(n)
-    n_boot = idx.shape[0]
-    # row chunks keep each row's mean as one whole gather would give it
-    boot = np.empty(n_boot)
+
+def _resample_means(xs, n_boot, seed):
+    """Means of n_boot resamples of each of the samples `xs` (one length n),
+    by the rows of the (n_boot, n) index ``default_rng(seed).integers(0, n,
+    size=(n_boot, n))``. The index is drawn `_GATHER // n` rows at a time;
+    drawing the rows in blocks from one generator gives the same index."""
+    if not xs:
+        return []
+    n = xs[0].size
+    if any(x.size != n for x in xs):
+        raise ValueError("resampled metrics must have one length")
+    rng = np.random.default_rng(seed)
+    boots = [np.empty(n_boot) for _ in xs]
     rows = max(1, _GATHER // n)
     for r in range(0, n_boot, rows):
-        boot[r:r + rows] = np.mean(x[idx[r:r + rows]], axis=1)
+        idx = rng.integers(0, n, size=(min(rows, n_boot - r), n))
+        for x, boot in zip(xs, boots):
+            boot[r:r + rows] = np.mean(x[idx], axis=1)
+    return boots
+
+
+def _bca_interval(x, level, boot):
+    """BCa interval of the mean of non-constant checked samples `x` from
+    their resample means `boot`."""
+    theta = float(np.mean(x))
+    n, n_boot = x.size, boot.size
     boot.sort()
 
     # bias correction from the proportion of resamples below the estimate

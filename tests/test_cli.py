@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ssdiffmri import cli, tensorio
+from ssdiffmri import cli, pipeline, tensorio
 from ssdiffmri.cli import _train_config_from_args, build_parser, run
 from ssdiffmri.losses import LossReport
 from ssdiffmri.nets import Denoiser
@@ -239,6 +239,31 @@ class TestTrain:
                       "--out", str(resumed)) == 0
         assert_same_checkpoint(full / "checkpoints" / "final",
                                resumed / "checkpoints" / "final")
+
+    def test_infinite_loss_leaves_last_good_at_last_completed_step(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        under = tmp_path / "under"
+        assert invoke("phantom", "--n", "4", "--size", "16", "--coils", "2",
+                      "--seed", "7", "--out", str(tmp_path / "ph")) == 0
+        assert invoke("undersample", "--data", str(tmp_path / "ph"), "--R", "4",
+                      "--seed", "3", "--out", str(under)) == 0
+        flags = ("--data", str(under), "--hidden", "4", "--disc-width", "2",
+                 "--batch-size", "2", "--seed", "13", "--epochs", "2")
+        assert invoke("train", *flags, "--max-steps", "2", "--out", str(tmp_path / "ok")) == 0
+        loss_and_grad, calls = pipeline.recon_loss_and_grad, []
+
+        def infinite_at_third_step(*args):
+            loss, grad = loss_and_grad(*args)
+            calls.append(None)
+            return (np.full_like(loss, np.inf) if len(calls) == 3 else loss), grad
+
+        monkeypatch.setattr(pipeline, "recon_loss_and_grad", infinite_at_third_step)
+        failed = tmp_path / "failed"
+        assert invoke("train", *flags, "--max-steps", "4", "--out", str(failed)) == 1
+        assert "non-finite loss at step 2" in capsys.readouterr().err
+        last_good = failed / "checkpoints" / "last_good"
+        assert json.loads((last_good / "denoiser.index.json").read_text())["step"] == 2
+        assert_same_checkpoint(tmp_path / "ok" / "checkpoints" / "final", last_good)
 
     def test_meta_r_out_of_range_exits_1_naming_file(self, dataset, undersampled,
                                                      tmp_path, capsys):

@@ -506,6 +506,14 @@ class TestBlockedConv:
         want = _ref_im2col(x.astype(np.float64)).T @ g.astype(np.float64).reshape(-1, cout)
         assert _rel_err(dws[1], want) <= rtol
 
+    def test_blocks_are_views_of_one_kept_buffer(self):
+        # a new array per block, freed after every call, made the allocator
+        # fault its pages in again on the next call
+        x = np.zeros((4, 64, 64, 24), np.float32)
+        starts = {cols.__array_interface__["data"][0]
+                  for _ in range(2) for _, _, cols in _im2col_blocks(_pad(x))}
+        assert len(starts) == 1
+
     def test_cache_is_no_larger_than_the_padded_input(self):
         rng = np.random.default_rng(26)
         conv = _Conv3x3(ModelState(9 * 24 * 24 + 24, np.float32), "conv", 24, 24, rng)

@@ -1,3 +1,7 @@
+import platform
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +315,9 @@ class TestTrainStep:
             def backward(self, upstream):
                 return np.zeros_like(upstream)
 
+            def release_caches(self):
+                pass
+
         tr = Trainer(Oracle(), disc, sens, cfg)
         rep = tr.train_step(slices[:2])
         assert rep.l_recon < 1e-20
@@ -427,6 +434,61 @@ class TestTrainStep:
         assert np.array_equal(den.state.params, den2.state.params)
         assert np.array_equal(disc.state.v, disc2.state.v)
 
+    def test_infinite_loss_raises_and_restores_both_nets(self, monkeypatch):
+        sens, slices, _ = make_fixture(rows=16, coils=2, n=2)
+        cfg = small_cfg(hidden=4, disc_width=4)
+        den, disc = build_models(cfg)
+        tr = Trainer(den, disc, sens, cfg)
+        tr.train_step(slices)
+        before = [st.snapshot() for st in (den.state, disc.state)]
+
+        def infinite_loss(*args):
+            loss, grad = recon_loss_and_grad(*args)
+            return np.full_like(loss, np.inf), grad
+
+        monkeypatch.setattr(pipeline, "recon_loss_and_grad", infinite_loss)
+        with pytest.raises(FloatingPointError, match="non-finite loss at step 1"):
+            tr.train_step(slices)
+        for st, (arrays, step) in zip((den.state, disc.state), before):
+            assert st.step == step == 1 and not st.grads.any()
+            now = (st.params, st.m, st.v, *st.buffers.values())
+            assert all(np.array_equal(a, b) for a, b in zip(now, arrays))
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_activation_cache_outlives_a_step(self, fails, monkeypatch):
+        sens, slices, _ = make_fixture(coils=2, n=2)
+        cfg = small_cfg()
+        den, disc = build_models(cfg)
+        tr = Trainer(den, disc, sens, cfg)
+        if fails:
+            def nan_params(state, lr):
+                state.params[0] = np.nan
+                state.require_finite("params")
+
+            monkeypatch.setattr(pipeline, "adam_step", nan_params)
+            with pytest.raises(FloatingPointError):
+                tr.train_step(slices)
+        else:
+            tr.train_step(slices)
+        layers = (*den.convs, *den.relus, *disc.convs, *disc.relus, *disc.bns, disc)
+        assert all(layer._cache is None for layer in layers)
+        with pytest.raises(RuntimeError, match="without cached forward"):
+            den.backward(np.zeros((2, 32, 32, 2)))
+
+    def test_step_leaves_no_memory_behind(self):
+        sens, slices, _ = make_fixture(coils=2, n=2)
+        cfg = small_cfg()
+        tr = Trainer(*build_models(cfg), sens, cfg)
+        tr.train_step(slices)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr.train_step(slices)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 << 10
+
     def test_denoiser_gradient_matches_fd_end_to_end(self, monkeypatch):
         # the phases composed: with the draws and the updated discriminator
         # held fixed, the gradient the step hands to Adam is the derivative
@@ -538,6 +600,24 @@ class TestReconstruct:
         a = reconstruct(meas, om, sens, den, sched, cfg, seed=5, allow_untrained=True)
         b = reconstruct(meas, om, sens, den, sched, cfg, seed=5, allow_untrained=True)
         assert np.array_equal(a.image, b.image)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_desk_reconstruction_reuses_its_memory(self):
+        # 64x64, 4 coils, hidden 24: the temporaries peak 1.7 MB, which
+        # glibc's default thresholds handed back and faulted in on every call
+        rows = 64
+        sens = generate_sensitivities(4, rows, rows, seed=3)
+        om = make_random_mask(rows, 4, 0.04, seed=3)
+        meas = encode(generate_phantom(rows, rows, 8, seed=3),
+                      EncodingOperator(sens, om, rows, rows))
+        cfg = TrainConfig(T=100, stride_k=25, hidden=24, disc_width=10, t_start=50)
+        den, _ = build_models(cfg)
+        sched = make_schedule(cfg.T)
+        for seed in range(3):
+            reconstruct(meas, om, sens, den, sched, cfg, seed=seed, allow_untrained=True)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        reconstruct(meas, om, sens, den, sched, cfg, seed=3, allow_untrained=True)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     @pytest.mark.parametrize("stride", [10, 25, 50])
     def test_perfect_oracle_full_mask_any_stride(self, stride):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -230,6 +232,39 @@ class TestReports:
             monkeypatch.setattr(stats, "_GATHER", gather)
             got.append(np.array(bootstrap_ci(x, n_boot=2000, seed=6)).tobytes())
         assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("n, n_boot", [(2, 3000), (7, 3000), (200, 3000),
+                                           (stats._GATHER + 5, 20)])
+    def test_streamed_index_equals_one_whole_draw(self, n, n_boot):
+        # the reference draws the whole (n_boot, n) index at once
+        rng = np.random.default_rng(15)
+        vals = {"nmse": rng.exponential(size=n), "psnr": np.full(n, 31.0),
+                "ssim": rng.random(n)}   # a degenerate metric between two live ones
+        idx = np.random.default_rng(8).integers(0, n, size=(n_boot, n))
+
+        def reference(x):
+            if np.ptp(x) == 0.0:
+                return float(np.mean(x)), float(np.mean(x))
+            return stats._bca_interval(x, 0.9, np.mean(x[idx], axis=1))
+
+        rep = MetricReport(method="m", **vals).finalize(n_boot=n_boot, level=0.9, seed=8)
+        for name, x in vals.items():
+            want = np.array(reference(x)).tobytes()
+            assert np.array(rep.ci[name]).tobytes() == want
+            assert np.array(bootstrap_ci(x, n_boot=n_boot, level=0.9, seed=8)).tobytes() == want
+
+    def test_finalize_peak_memory_is_one_block(self):
+        # the whole (10000, 200) int64 index alone would be 16 MB
+        rng = np.random.default_rng(16)
+        rep = MetricReport(method="m", nmse=rng.random(200), psnr=20 + rng.random(200),
+                           ssim=rng.random(200))
+        tracemalloc.start()
+        try:
+            rep.finalize(n_boot=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_csv_rows_shape(self):
         rep = MetricReport(method="m", nmse=np.array([0.1]),
