@@ -3,7 +3,8 @@ evaluation, statistics, and the split-ratio sweep.
 
 Every command is deterministic given its flags and seeds; figures are left
 to external tools, the commands only emit CKSP tensors, CSV, and JSON.
-Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure.
+Exit codes: 0 success, 2 usage error (a flag missing, malformed or out of
+range, checked before any output is written), 1 runtime failure.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensorio
 from .diffusion import make_schedule
 from .kspace import EncodingOperator, add_measurement_noise, encode, zero_filled
-from .masks import SamplingMask, apply_mask, make_random_mask
+from .masks import SamplingMask, make_random_mask
 from .losses import LossReport
 from .pipeline import SliceData, TrainConfig, Trainer, build_models, evaluate_run, reconstruct
 from .nets import load_checkpoint, save_checkpoint
@@ -85,8 +86,19 @@ def cmd_phantom(args):
     return 0
 
 
+def _check_R(width, R_values, center_fraction, flag):
+    """Usage error naming `flag` unless every acceleration in `R_values`
+    can draw a mask of `width` columns at `center_fraction`."""
+    for R in R_values:
+        try:
+            make_random_mask(width, R, center_fraction)
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"argument {flag}: {exc}") from exc
+
+
 def cmd_undersample(args):
     manifest, sens = _load_dataset(args.data)
+    _check_R(manifest.cols, [args.R], args.center_fraction, "--R")
     out = _default_out(args, "undersampled_out")
     _prepare_out(out, args.force)
     os.makedirs(os.path.join(out, "masks"))
@@ -101,8 +113,8 @@ def cmd_undersample(args):
         op = EncodingOperator(sens, mask, manifest.rows, manifest.cols)
         ks = encode(ph, op)
         if args.noise_std > 0:
-            ks = apply_mask(add_measurement_noise(ks, args.noise_std,
-                                                  seed=args.seed + i), mask)
+            ks = np.where(mask.sampled, add_measurement_noise(ks, args.noise_std,
+                                                              seed=args.seed + i), 0)
         with open(os.path.join(out, "masks", f"slice_{i:04d}.mask.json"), "w") as f:
             f.write(mask.to_json())
         tensorio.write_tensor(ks, os.path.join(out, "kspace", f"slice_{i:04d}.cksp"))
@@ -162,9 +174,19 @@ def _config_from_dict(values, source, base=None):
         raise RuntimeError(f"{source}: {exc}") from exc
 
 
+def _flag_config(args):
+    """TrainConfig of the train flags alone; a value out of range is a usage
+    error naming its flag (TrainConfig's messages start with the field)."""
+    try:
+        return TrainConfig(seed=args.seed,
+                           **{name: getattr(args, name) for name in _TRAIN_FLAGS})
+    except ValueError as exc:
+        flag = "--" + str(exc).split()[0].replace("_", "-")
+        raise argparse.ArgumentError(None, f"argument {flag}: {exc}") from exc
+
+
 def _train_config_from_args(args, meta, meta_path):
-    cfg = TrainConfig(seed=args.seed,
-                      **{name: getattr(args, name) for name in _TRAIN_FLAGS})
+    cfg = _flag_config(args)
     cfg = _config_from_dict({"R": meta["R"]}, meta_path, base=cfg.to_dict())
     if args.config:
         cfg = _config_from_dict(_parse_file(args.config, json.loads), args.config,
@@ -222,7 +244,10 @@ def cmd_recon(args):
     meta, manifest, sens, slices = _load_undersampled(args.data)
     cfg, den, _ = _load_models_for_recon(args.run)
     if args.t_start:
-        cfg = TrainConfig(**{**cfg.to_dict(), "t_start": args.t_start})
+        try:
+            cfg = TrainConfig(**{**cfg.to_dict(), "t_start": args.t_start})
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"argument --t-start: {exc}") from exc
     out = _default_out(args, "recon_out")
     _prepare_out(out, args.force)
     os.makedirs(os.path.join(out, "recons"))
@@ -346,9 +371,11 @@ def cmd_stats(args):
 def cmd_sweep(args):
     """Train/reconstruct/evaluate over the (R, rho) grid and combine the
     per-slice metrics into one CSV mirroring the split-ratio figure axes."""
+    _flag_config(args)
+    manifest, sens = _load_dataset(args.data)
+    _check_R(manifest.cols, args.R_grid, args.center_fraction, "--R-grid")
     out = _default_out(args, "sweep_out")
     _prepare_out(out, args.force)
-    manifest, sens = _load_dataset(args.data)
     truths = [_read_shaped(os.path.join(args.data, rel), sens.shape[1:])
               for rel in manifest.slices]
 
@@ -388,15 +415,23 @@ def cmd_sweep(args):
     return 0
 
 
-def _at_least(kind, low):
-    """argparse type: a finite `kind` >= `low`, else a usage error naming the flag."""
+def _checked(kind, ok, what):
+    """argparse type: a finite `kind` for which `ok` holds, else a usage
+    error naming the flag and saying `what` it must be."""
     def parse(text):
         value = kind(text)
-        if not (np.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} >= {low}")
+        if not (np.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} {what}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
     return parse
+
+
+def _at_least(kind, low):
+    return _checked(kind, lambda v: v >= low, f">= {low}")
+
+
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def build_parser():
@@ -413,16 +448,16 @@ def build_parser():
     sp = sub.add_parser("phantom", help="generate a synthetic dataset")
     add_common(sp)
     sp.add_argument("--n", type=_at_least(int, 1), default=200)
-    sp.add_argument("--size", type=int, default=64)
-    sp.add_argument("--coils", type=int, default=4)
-    sp.add_argument("--ellipses", type=int, default=8)
+    sp.add_argument("--size", type=_at_least(int, 16), default=64)
+    sp.add_argument("--coils", type=_at_least(int, 1), default=4)
+    sp.add_argument("--ellipses", type=_at_least(int, 1), default=8)
     sp.set_defaults(func=cmd_phantom)
 
     sp = sub.add_parser("undersample", help="mask and encode a dataset")
     add_common(sp)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--R", type=float, default=4.0)
-    sp.add_argument("--center-fraction", type=float, default=0.04,
+    sp.add_argument("--R", type=_at_least(float, 1), default=4.0)
+    sp.add_argument("--center-fraction", type=_FRACTION, default=0.04,
                     dest="center_fraction")
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
     sp.set_defaults(func=cmd_undersample)
@@ -446,7 +481,8 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--run", required=True, help="training run directory")
-    sp.add_argument("--t-start", type=int, default=0, dest="t_start")
+    sp.add_argument("--t-start", type=int, default=0, dest="t_start",
+                    help="first reverse step: 0 means T // 4, else 2..T")
     sp.set_defaults(func=cmd_recon)
 
     sp = sub.add_parser("zerofill", help="zero-filled baseline reconstructions")
@@ -470,11 +506,11 @@ def build_parser():
     sp = sub.add_parser("sweep", help="train/evaluate over a rho grid")
     add_common(sp)
     sp.add_argument("--data", required=True, help="phantom dataset directory")
-    sp.add_argument("--rho-grid", type=float, nargs="+", default=[0.3, 0.5, 0.7],
+    sp.add_argument("--rho-grid", type=_FRACTION, nargs="+", default=[0.3, 0.5, 0.7],
                     dest="rho_grid")
-    sp.add_argument("--R-grid", type=float, nargs="+", default=[2.0, 4.0],
+    sp.add_argument("--R-grid", type=_at_least(float, 1), nargs="+", default=[2.0, 4.0],
                     dest="R_grid")
-    sp.add_argument("--center-fraction", type=float, default=0.04,
+    sp.add_argument("--center-fraction", type=_FRACTION, default=0.04,
                     dest="center_fraction")
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
     sp.add_argument("--n-boot", type=_at_least(int, 2), default=1000, dest="n_boot")
@@ -490,6 +526,8 @@ def run(argv=None):
         parser.error("stats needs at least 2 metrics.csv reports")
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:  # a flag out of range for its data or run
+        parser.error(str(exc))
     except (RuntimeError, OSError, ValueError, FloatingPointError,
             tensorio.CkspError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,13 @@ class NoiseSchedule:
             raise ValueError(f"step t={t} outside [{lowest}, {self.T}]")
 
 
-def make_schedule(T, beta_1=1e-4, beta_T=0.02):
+def make_schedule(T, beta_1, beta_T):
     """Linear beta schedule from beta_1 to beta_T over T steps."""
     if T < 2:
         raise ValueError("T must be >= 2")
     if not 0 < beta_1 <= beta_T < 1:
-        raise ValueError(f"need 0 < beta_1 <= beta_T < 1, got ({beta_1}, {beta_T})")
+        raise ValueError(f"beta_1, beta_T must satisfy 0 < beta_1 <= beta_T < 1, got "
+                         f"({beta_1}, {beta_T})")
     beta = np.zeros(T + 1)
     beta[1:] = np.linspace(beta_1, beta_T, T)
     alpha = 1.0 - beta
@@ -97,14 +98,17 @@ def posterior_params_strided(y_t, y0, t, s, sched):
     sched.check_t(t)
     _check_order(s, t)
     _check_shapes(y_t, y0, "posterior")
-    ab_t = sched.alpha_bar[t]
-    ab_s = sched.alpha_bar[s]
-    a_eff = ab_t / ab_s
-    denom = 1.0 - ab_t
-    mu = (np.sqrt(a_eff) * (1.0 - ab_s) * np.asarray(y_t)
-          + np.sqrt(ab_s) * (1.0 - a_eff) * np.asarray(y0)) / denom
-    var = (1.0 - a_eff) * (1.0 - ab_s) / denom
-    return mu, var
+    w_yt, w_y0, denom, var = posterior_coefficients(t, s, sched)
+    return (w_yt * np.asarray(y_t) + w_y0 * np.asarray(y0)) / denom, var
+
+
+def posterior_coefficients(t, s, sched):
+    """The strided posterior's mean ``(w_yt y_t + w_y0 y0) / denom`` and
+    variance as ``(w_yt, w_y0, denom, var)``; ``w_y0 / denom`` is d mu / d y0."""
+    ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[s]
+    a_eff, denom = ab_t / ab_s, 1.0 - ab_t
+    return (np.sqrt(a_eff) * (1.0 - ab_s), np.sqrt(ab_s) * (1.0 - a_eff), denom,
+            (1.0 - a_eff) * (1.0 - ab_s) / denom)
 
 
 def posterior_params(y_t, y0, t, sched):

@@ -59,23 +59,22 @@ def gen_loss(d_fake):
     return float(np.mean(-np.log(fake)))
 
 
-def recon_loss_masked(eps_true, eps_pred, loss_mask, t, sched):
-    """Noise-prediction loss restricted to the loss-mask columns in k-space.
+def recon_loss_masked(eps_true, eps_pred, loss_cols, t, sched):
+    """Noise-prediction loss restricted to the loss columns in k-space.
 
     Both noise tensors are transformed to k-space (over the trailing two
-    axes), restricted to the sampled columns of `loss_mask`, and compared in
-    squared L2, scaled by the step weight and normalized by the number of
+    axes), restricted to the boolean column mask `loss_cols`, and compared
+    in squared L2, scaled by the step weight and normalized by the number of
     retained samples. Entries may be coil-stacked.
     """
     eps_true = np.asarray(eps_true)
     eps_pred = np.asarray(eps_pred)
     if eps_true.shape != eps_pred.shape:
         raise ValueError("eps tensors must have identical shapes")
-    cols = loss_mask.indices()
-    if len(cols) == 0:
+    if not np.any(loss_cols):
         raise ValueError("loss mask has no sampled columns")
 
-    d = fft2c(eps_true - eps_pred)[..., cols]
+    d = fft2c(eps_true - eps_pred)[..., loss_cols]
     total = float(np.sum(np.abs(d) ** 2))
     n_kept = d.size
     return loss_weight(t, sched) * total / n_kept

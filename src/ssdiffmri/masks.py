@@ -1,11 +1,12 @@
 """1-D column sampling masks and their disjoint train/loss partition.
 
 A mask samples phase-encode columns: a contiguous fully-sampled center
-block plus randomly selected outer columns. An acquired mask can be split
-into a train mask and a loss mask that share only the center block; rho is
-the fraction of the outer sampled columns that goes to the train mask.
-Masks act on the trailing k-space axis, and :func:`stack_columns` stacks
-per-slice masks so they broadcast over a (batch, coils, rows, cols) array.
+block plus randomly selected outer columns. A :class:`SamplingMask` is an
+acquired mask as files and commands hold it; the code that computes with
+masks takes boolean column arrays, which act on the trailing k-space axis.
+An acquired mask splits into train and loss columns that share only the
+center block; rho is the fraction of the outer sampled columns that goes
+to the train columns.
 """
 
 import json
@@ -38,14 +39,6 @@ class SamplingMask:
             raise ValueError(f"bad center range {self.center}")
         if not sampled[lo:hi].all():
             raise ValueError("center columns must all be sampled")
-
-    @property
-    def center_slice(self):
-        return slice(self.center[0], self.center[1])
-
-    @property
-    def n_center(self):
-        return self.center[1] - self.center[0]
 
     def indices(self):
         return np.flatnonzero(self.sampled)
@@ -80,18 +73,6 @@ class SamplingMask:
         return cls(width, sampled, tuple(center))
 
 
-@dataclass(frozen=True)
-class MaskPartition:
-    """Disjoint split of an acquired mask into train and loss masks.
-
-    Train and loss cover the acquired mask exactly and overlap on the
-    center block only.
-    """
-
-    train: SamplingMask
-    loss: SamplingMask
-
-
 def center_range(width, center_fraction):
     """[lo, hi) range of the round(center_fraction * width) central columns."""
     n_center = int(round(center_fraction * width))
@@ -108,7 +89,7 @@ def make_random_mask(width, R, center_fraction=0.04, seed=0):
     """
     if width < 8:
         raise ValueError("width must be >= 8")
-    if R < 1:
+    if not R >= 1:  # NaN too
         raise ValueError("R must be >= 1")
     if not 0 < center_fraction < 1:
         raise ValueError("center_fraction must lie in (0, 1)")
@@ -129,10 +110,12 @@ def make_random_mask(width, R, center_fraction=0.04, seed=0):
 
 
 def partition_mask(acquired, rho, seed=0):
-    """Split an acquired mask into train/loss masks sharing only the center.
+    """The (train, loss) boolean column arrays of an acquired mask.
 
-    A fraction ``rho`` of the outer sampled columns goes to the train mask
-    and the rest to the loss mask.
+    A fraction ``rho`` of the outer sampled columns, drawn by one
+    permutation, goes to the train columns and the rest to the loss
+    columns; both hold the center block, so together they cover the
+    acquired mask exactly and overlap on the center only.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
@@ -140,42 +123,11 @@ def partition_mask(acquired, rho, seed=0):
     n = len(outer)
     if n == 0:
         raise ValueError("mask has no sampled columns outside the center")
-    n_train = int(round(rho * n))
 
     rng = np.random.default_rng(seed)
-    chosen = rng.permutation(n)[:n_train]
-    train_sel = np.zeros(n, dtype=bool)
-    train_sel[chosen] = True
-
     lo, hi = acquired.center
     train = np.zeros(acquired.width, dtype=bool)
-    train[outer[train_sel]] = True
+    train[outer[rng.permutation(n)[:int(round(rho * n))]]] = True
+    loss = acquired.sampled & ~train
     train[lo:hi] = True
-    loss = np.zeros(acquired.width, dtype=bool)
-    loss[outer[~train_sel]] = True
-    loss[lo:hi] = True
-
-    return MaskPartition(
-        train=SamplingMask(acquired.width, train, acquired.center),
-        loss=SamplingMask(acquired.width, loss, acquired.center),
-    )
-
-
-def apply_mask(ks, mask):
-    """Zero the unsampled columns of k-space; sampled columns pass bit-exactly.
-
-    The mask applies along the trailing axis, which must match the mask
-    width.
-    """
-    ks = np.asarray(ks)
-    if ks.shape[-1] != mask.width:
-        raise ValueError(
-            f"trailing extent {ks.shape[-1]} does not match mask width {mask.width}"
-        )
-    return np.where(mask.sampled, ks, 0)
-
-
-def stack_columns(masks):
-    """Sampled columns of per-slice masks as a (B, 1, 1, width) boolean
-    array that broadcasts over (B, coils, rows, cols) k-space."""
-    return np.stack([m.sampled for m in masks])[:, None, None, :]
+    return train, loss

@@ -40,6 +40,9 @@ from . import tensorio
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# discriminator input channels: the sample's and the conditioning's (real, imag)
+DISC_IN_CHANNELS = 4
 # bytes of im2col a conv forms at a time: one core's L2 on a desk machine
 _BLOCK_BYTES = 2 << 20
 # the buffer `_im2col_blocks` forms its blocks in, one per thread
@@ -346,7 +349,7 @@ class DenoiserSpec:
     noisy sample (2), the step embedding (1), and the conditioning image (2).
     """
 
-    channels: tuple = (5, 32, 32, 32, 32, 2)
+    channels: tuple
 
     @property
     def param_count(self):
@@ -360,14 +363,13 @@ class DenoiserSpec:
 class DiscriminatorSpec:
     """Four 3x3 convolutions (each ReLU + batch norm) and a sigmoid scalar head."""
 
-    in_channels: int = 4
-    width: int = 16
+    width: int
     n_layers: int = 4
 
     @property
     def param_count(self):
         total = 0
-        cin = self.in_channels
+        cin = DISC_IN_CHANNELS
         for _ in range(self.n_layers):
             total += 9 * cin * self.width + self.width
             total += 2 * self.width  # batch norm gamma/beta
@@ -450,7 +452,7 @@ class Discriminator:
         self.state = ModelState(spec.param_count, dtype)
         self.convs, self.bns = [], []
         for i in range(spec.n_layers):
-            cin = spec.in_channels if i == 0 else spec.width
+            cin = DISC_IN_CHANNELS if i == 0 else spec.width
             self.convs.append(_Conv3x3(self.state, f"conv{i}", cin, spec.width, rng))
             self.bns.append(_BatchNorm(self.state, f"bn{i}", spec.width))
         self.relus = [_ReLU() for _ in range(spec.n_layers)]
@@ -467,10 +469,8 @@ class Discriminator:
         if sample.shape != cond.shape:
             raise ValueError("sample and conditioning shapes must match")
         x = np.concatenate([sample, cond], axis=-1)
-        if x.shape[-1] != self.spec.in_channels:
-            raise ValueError(
-                f"got {x.shape[-1]} input channels, spec wants {self.spec.in_channels}"
-            )
+        if x.shape[-1] != DISC_IN_CHANNELS:
+            raise ValueError(f"got {x.shape[-1]} input channels, need {DISC_IN_CHANNELS}")
         h = x
         for conv, relu, bn in zip(self.convs, self.relus, self.bns):
             h = conv.forward(h, keep_cache=True)
@@ -534,18 +534,18 @@ class Discriminator:
         self._cache = None
 
 
-def adam_step(state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(state, lr):
     """Bias-corrected Adam update in place; gradients are zeroed afterward."""
     state.require_finite("grads")
     state.step += 1
     g = state.grads
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * g * g
-    mhat = state.m / (1.0 - beta1**state.step)
-    vhat = state.v / (1.0 - beta2**state.step)
-    state.params -= lr * mhat / (np.sqrt(vhat) + eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    mhat = state.m / (1.0 - ADAM_BETA1**state.step)
+    vhat = state.v / (1.0 - ADAM_BETA2**state.step)
+    state.params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     state.require_finite("params")
     state.zero_grads()
 

@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .diffusion import (loss_weight, make_schedule, posterior_params_strided,
-                        sample_forward_jump, sample_yt)
+from .diffusion import (loss_weight, make_schedule, posterior_coefficients,
+                        posterior_params_strided, sample_forward_jump, sample_yt)
 from .kspace import EncodingOperator, adjoint_op, forward_op, zero_filled
 from .losses import LossReport, disc_loss, gen_loss, total_loss
-from .masks import partition_mask, stack_columns
+from .masks import partition_mask
 from .metrics import nmse, psnr, ssim
 from .nets import Denoiser, DenoiserSpec, Discriminator, DiscriminatorSpec, adam_step
 from .stats import MetricReport
@@ -41,7 +41,9 @@ def channels_to_complex(c):
 
 @dataclass
 class TrainConfig:
-    """Knobs of the self-supervised training and inference runs."""
+    """Knobs of the self-supervised training and inference runs. A bad
+    value raises TypeError or ValueError whose message starts with the
+    field's name."""
 
     R: float = 4.0
     rho: float = 0.5
@@ -58,7 +60,7 @@ class TrainConfig:
     hidden: int = 24
     disc_width: int = 10
     dtype: str = "float32"
-    t_start: int = 0                 # 0 means T // 4
+    t_start: int = 0                 # 0 means T // 4; else at least 2
     max_steps: int = 0               # 0 means no cap
     checkpoint_every: int = 500
 
@@ -86,8 +88,8 @@ class TrainConfig:
             raise ValueError("stride_k must satisfy 2 <= k and 2k <= T")
         if self.T % self.stride_k != 0:
             raise ValueError("stride_k must divide T so the step grid is regular")
-        if not 0 <= self.t_start <= self.T:
-            raise ValueError(f"t_start must lie in [0, T={self.T}]")
+        if not (self.t_start == 0 or 2 <= self.t_start <= self.T):
+            raise ValueError(f"t_start must be 0 (T // 4) or lie in [2, T={self.T}]")
         make_schedule(self.T, self.beta_1, self.beta_T)  # checks the beta bounds
 
     @property
@@ -161,7 +163,7 @@ def dc_project_kspace(pred_img, measured_ks, sens, cols):
     """Coil k-space of the prediction with the measured columns swapped in.
 
     `cols` is a boolean column mask: (W,) for one prediction (H, W), or
-    ``stack_columns``'s (B, 1, 1, W) for a batch of predictions (B, H, W)
+    (B, 1, 1, W), one row per slice, for a batch of predictions (B, H, W)
     with measurements (B, coils, H, W).
     """
     return np.where(cols, measured_ks, forward_op(pred_img, sens))
@@ -207,7 +209,7 @@ def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_cols, t, sched):
     noise and y_t cancel), and its gradient is
     ``2 w(t) abar_t / (1 - abar_t) / n_kept * A^H r``. For one slice `t` is
     a scalar and `loss_cols` a (W,) column mask; for a batch `t` is
-    (B, 1, 1) and `loss_cols` ``stack_columns``'s (B, 1, 1, W). The loss
+    (B, 1, 1) and `loss_cols` (B, 1, 1, W). The loss
     has the shape of `t`.
     """
     ab = sched.alpha_bar[t]
@@ -296,9 +298,9 @@ class Trainer:
             eps2.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             rng = self._rng(2, item.slice_id, step)
             z.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return StepDraws(stack_columns([p.train for p in parts]),
-                         stack_columns([p.loss for p in parts]),
-                         np.array(t)[:, None, None], *map(np.stack, (eps, eps2, z)))
+        train_cols, loss_cols = (np.stack(cols)[:, None, None, :] for cols in zip(*parts))
+        return StepDraws(train_cols, loss_cols, np.array(t)[:, None, None],
+                         *map(np.stack, (eps, eps2, z)))
 
     def _generate(self, batch, kspace, draws, step):
         """Noise the train-column image to y_t and y_{t+k}, predict from y_t
@@ -306,11 +308,10 @@ class Trainer:
         fake and y_{t+k} as the discriminator's channels, and the prediction."""
         cfg, sched, sens = self.cfg, self.sched, self.sens
         t, tk = draws.t, draws.t + cfg.stride_k
-        ks_train = np.where(draws.train_cols, kspace, 0)
-        y0_in = adjoint_op(ks_train, sens)
+        y0_in = adjoint_op(kspace, sens, draws.train_cols)
         y_t = sample_yt(y0_in, t, draws.eps, sched)
         y_tk = sample_forward_jump(y_t, t, tk, draws.eps2, sched)
-        y0_pred = predict_clean(self.denoiser, y_t, t[:, 0, 0] / cfg.T, y0_in, ks_train,
+        y0_pred = predict_clean(self.denoiser, y_t, t[:, 0, 0] / cfg.T, y0_in, kspace,
                                 sens, draws.train_cols, keep_cache=True)
         if not np.all(np.isfinite(y0_pred)):
             raise FloatingPointError(
@@ -348,8 +349,8 @@ class Trainer:
                                    accumulate=False)
         l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens, draws.loss_cols,
                                            draws.t, sched)
-        ab_tk, ab_t = sched.alpha_bar[draws.t + cfg.stride_k], sched.alpha_bar[draws.t]
-        c_pred = np.sqrt(ab_t) * (1.0 - ab_tk / ab_t) / (1.0 - ab_tk)  # d mu / d y0
+        _, w_y0, denom, _ = posterior_coefficients(draws.t + cfg.stride_k, draws.t, sched)
+        c_pred = w_y0 / denom  # d mu / d y0
         g_y0 = g_rec / B + c_pred * channels_to_complex(np.asarray(g_adv, np.float64))
         self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, draws.train_cols)))
         adam_step(self.denoiser.state, cfg.lr)

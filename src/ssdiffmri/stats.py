@@ -24,6 +24,9 @@ import numpy as np
 _ndtri = statistics.NormalDist().inv_cdf
 # resampled values drawn and gathered at a time when averaging bootstrap resamples
 _GATHER = 1 << 16
+# Gauss-Legendre nodes of the studentized range's outer (scale) and inner
+# (normal) integrals
+_SR_OUTER, _SR_INNER = 64, 128
 
 
 @dataclass
@@ -226,7 +229,7 @@ def _gauss_legendre(a, b, n):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def studentized_range_sf(q, k, df, n_outer=64, n_inner=128):
+def studentized_range_sf(q, k, df):
     """Survival function of the studentized range by double quadrature.
 
     Integrates the range CDF of k standard normals against the chi
@@ -237,7 +240,7 @@ def studentized_range_sf(q, k, df, n_outer=64, n_inner=128):
     k = int(k)
     df = float(df)
 
-    z, wz = _gauss_legendre(-8.5, 8.5, n_inner)
+    z, wz = _gauss_legendre(-8.5, 8.5, _SR_INNER)
     phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
 
     def range_cdf(w):
@@ -247,7 +250,7 @@ def studentized_range_sf(q, k, df, n_outer=64, n_inner=128):
         return k * np.sum(wz * phi * upper ** (k - 1), axis=-1)
 
     # chi density of s = sigma_hat / sigma with df degrees of freedom
-    s, ws = _gauss_legendre(1e-9, 1.0 + 10.0 / np.sqrt(df), n_outer)
+    s, ws = _gauss_legendre(1e-9, 1.0 + 10.0 / np.sqrt(df), _SR_OUTER)
     log_c = (df / 2.0) * np.log(df) - math.lgamma(df / 2.0) - (df / 2.0 - 1.0) * np.log(2.0)
     dens = np.exp(log_c + (df - 1.0) * np.log(s) - df * s**2 / 2.0)
     cdf = float(np.sum(ws * dens * range_cdf(q * s)))

@@ -58,8 +58,10 @@ class TestPhantom:
         assert (a / "sens.cksp").read_bytes() == (b / "sens.cksp").read_bytes()
 
     def test_small_size_usage_error(self, tmp_path):
-        assert invoke("phantom", "--n", "1", "--size", "8",
-                      "--out", str(tmp_path / "x")) == 1
+        with pytest.raises(SystemExit) as exc:
+            invoke("phantom", "--n", "1", "--size", "8", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_refuses_nonempty_without_force(self, tmp_path):
         d = tmp_path / "d"
@@ -92,7 +94,7 @@ class TestUndersample:
         from ssdiffmri.masks import SamplingMask
         for f in os.listdir(undersampled / "masks"):
             mask = SamplingMask.from_json((undersampled / "masks" / f).read_text())
-            assert mask.sampled[mask.center_slice].all()
+            assert mask.sampled[slice(*mask.center)].all()
 
     def test_r1_equals_full_kspace(self, dataset, tmp_path):
         u = tmp_path / "full"
@@ -120,6 +122,28 @@ class TestUndersample:
     def test_missing_dataset(self, tmp_path):
         assert invoke("undersample", "--data", str(tmp_path / "nope"),
                       "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("R", ["4", "1"], ids=lambda R: f"R{R}")
+    def test_noise_only_on_acquired_columns(self, dataset, tmp_path, R):
+        # acquired columns hold the encoded slice plus its noise draw, bit for
+        # bit at file precision; every other column is exactly zero
+        from ssdiffmri.kspace import EncodingOperator, add_measurement_noise, encode
+        from ssdiffmri.masks import SamplingMask
+        u = tmp_path / "noisy"
+        assert invoke("undersample", "--data", str(dataset), "--R", R, "--seed", "5",
+                      "--noise-std", "0.01", "--out", str(u)) == 0
+        man = tensorio.DatasetManifest.from_json((dataset / "manifest.json").read_text())
+        sens = tensorio.read_tensor(dataset / "sens.cksp")
+        for i, rel in enumerate(man.slices):
+            mask = SamplingMask.from_json((u / "masks" / f"slice_{i:04d}.mask.json")
+                                          .read_text())
+            stored = tensorio.read_tensor(u / "kspace" / f"slice_{i:04d}.cksp")
+            ks = encode(tensorio.read_tensor(dataset / rel),
+                        EncodingOperator(sens, mask, man.rows, man.cols))
+            noisy = add_measurement_noise(ks, 0.01, seed=5 + i).astype(np.complex64)
+            assert np.array_equal(stored[..., mask.sampled], noisy[..., mask.sampled])
+            assert not np.any(stored[..., ~mask.sampled])
+            assert mask.sampled.all() == (R == "1")
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +177,11 @@ class TestTrain:
         assert cfg == TrainConfig()
 
     def test_rho_out_of_range_usage(self, undersampled, tmp_path):
-        assert invoke("train", "--data", str(undersampled), "--rho", "1.5",
-                      "--out", str(tmp_path / "r")) == 1
+        with pytest.raises(SystemExit) as exc:
+            invoke("train", "--data", str(undersampled), "--rho", "1.5",
+                   "--out", str(tmp_path / "r"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
 
     def test_resume_reproduces_next_step(self, undersampled, tmp_path):
         # train 3 steps, checkpoint; resuming must replay step 4 exactly
@@ -523,19 +550,41 @@ class TestBadInput:
         ("eval", "--n-boot", "0"), ("eval", "--n-boot", "1"), ("sweep", "--n-boot", "1"),
         ("undersample", "--noise-std", "nan"), ("undersample", "--noise-std", "-1"),
         ("sweep", "--noise-std", "inf"), ("phantom", "--n", "0"),
+        ("phantom", "--size", "8"), ("phantom", "--size", "15"), ("phantom", "--coils", "0"),
+        ("phantom", "--ellipses", "0"),
+        ("undersample", "--R", "0.5"), ("undersample", "--R", "nan"),
+        ("undersample", "--R", "100"), ("undersample", "--center-fraction", "0"),
+        ("undersample", "--center-fraction", "1"),
+        ("sweep", "--R-grid", "2", "0.5"), ("sweep", "--R-grid", "2", "100"),
+        ("sweep", "--rho-grid", "0.5", "1.5"), ("sweep", "--rho-grid", "0"),
+        ("sweep", "--center-fraction", "1.5"), ("sweep", "--rho", "1.5"),
+        ("sweep", "--T", "0"), ("sweep", "--stride-k", "30"), ("sweep", "--seed", "-1"),
+        ("recon", "--t-start", "1"), ("recon", "--t-start", "-3"),
+        ("recon", "--t-start", "101"),
+        ("train", "--rho", "1.5"), ("train", "--rho", "0"), ("train", "--lr", "0"),
+        ("train", "--lr", "nan"), ("train", "--batch-size", "0"), ("train", "--epochs", "0"),
+        ("train", "--T", "0"), ("train", "--stride-k", "1"), ("train", "--stride-k", "30"),
+        ("train", "--adv-weight", "-1"), ("train", "--hidden", "0"),
+        ("train", "--disc-width", "0"), ("train", "--max-steps", "-1"),
+        ("train", "--t-start", "1"), ("train", "--t-start", "101"), ("train", "--seed", "-1"),
     ], ids=lambda argv: " ".join(argv))
-    def test_bad_flag_value_exits_2_naming_flag(self, dataset, recon_dirs, tmp_path,
-                                                capsys, argv):
+    def test_bad_flag_value_exits_2_naming_flag(self, dataset, undersampled, trained,
+                                                recon_dirs, tmp_path, capsys, argv):
+        # a usage error, found before any output is written
         inputs = {"eval": ("--recon", str(recon_dirs[0]), "--truth", str(dataset)),
                   "sweep": ("--data", str(dataset), "--rho-grid", "0.5", "--R-grid", "2",
                             "--max-steps", "1", "--hidden", "4", "--disc-width", "4"),
                   "undersample": ("--data", str(dataset)),
-                  "phantom": ("--size", "16", "--coils", "1")}[argv[0]]
+                  "phantom": ("--size", "16", "--coils", "1"),
+                  "recon": ("--data", str(undersampled), "--run", str(trained)),
+                  "train": ("--data", str(undersampled), "--max-steps", "1")}[argv[0]]
+        out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            invoke(*argv, *inputs, "--out", str(tmp_path / "o"))
+            invoke(argv[0], *inputs, *argv[1:], "--out", str(out))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[1]}: " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_recon_non_finite_sampler_state_exits_1(self, undersampled, trained, tmp_path,
                                                     capsys, monkeypatch):

@@ -13,7 +13,7 @@ def tiny():
 
 @pytest.fixture
 def sched100():
-    return make_schedule(100)
+    return make_schedule(100, 1e-4, 0.02)
 
 
 class TestSchedule:
@@ -50,7 +50,7 @@ class TestSchedule:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            make_schedule(1)
+            make_schedule(1, 1e-4, 0.02)
         with pytest.raises(ValueError):
             make_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):

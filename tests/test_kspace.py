@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ssdiffmri.kspace import (EncodingOperator, add_measurement_noise, adjoint_op,
                               encode, fft2c, forward_op, ifft2c, zero_filled)
-from ssdiffmri.masks import make_random_mask, stack_columns
+from ssdiffmri.masks import make_random_mask
 from ssdiffmri.metrics import nmse
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
 
@@ -135,6 +135,22 @@ class TestEncoding:
                                    a * encode(x, operator) + b * encode(z, operator),
                                    atol=1e-10)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_column_mask_is_a_projection(self, seed):
+        # a boolean column mask keeps the sampled columns bit for bit and
+        # zeros the rest; masking again changes nothing, and it is linear
+        rng = np.random.default_rng(seed)
+        sens = generate_sensitivities(2, 32, 32, seed=seed % 97)
+        cols = make_random_mask(32, 4, 0.04, seed=seed).sampled
+        x, z = _rand_image(rng, 32, 32), _rand_image(rng, 32, 32)
+        full, masked = forward_op(x, sens), forward_op(x, sens, cols)
+        assert np.array_equal(masked[..., cols], full[..., cols])
+        assert not np.any(masked[..., ~cols])
+        assert np.array_equal(adjoint_op(masked, sens, cols), adjoint_op(masked, sens))
+        np.testing.assert_allclose(forward_op(2 * x + 3j * z, sens, cols),
+                                   2 * masked + 3j * forward_op(z, sens, cols), atol=1e-10)
+
     def test_shape_mismatch(self, operator):
         with pytest.raises(ValueError):
             encode(np.zeros((16, 16), complex), operator)
@@ -154,7 +170,7 @@ class TestBatchedOperator:
         y = (rng.standard_normal((3, 4, rows, cols))
              + 1j * rng.standard_normal((3, 4, rows, cols)))
         ops = [EncodingOperator(sens, m, rows, cols) for m in masks]
-        batch_cols = stack_columns(masks)
+        batch_cols = np.stack([m.sampled for m in masks])[:, None, None, :]
         assert np.array_equal(forward_op(x, sens, batch_cols),
                               np.stack([encode(x[b], op) for b, op in enumerate(ops)]))
         assert np.array_equal(adjoint_op(y, sens, batch_cols),

@@ -538,7 +538,7 @@ class TestAdam:
         den = Denoiser(DenoiserSpec(channels=(5, 2, 2)), seed=3)
         before = den.state.params.copy()
         den.state.grads[:] = 0.0
-        adam_step(den.state)
+        adam_step(den.state, 2e-4)
         np.testing.assert_array_equal(den.state.params, before)
 
     def test_deterministic_updates(self):
@@ -557,7 +557,7 @@ class TestAdam:
         blk = den.state.blocks[2]
         den.state.grads[blk.start] = np.nan
         with pytest.raises(FloatingPointError, match=blk.name):
-            adam_step(den.state)
+            adam_step(den.state, 2e-4)
 
 
 class TestCheckpoint:

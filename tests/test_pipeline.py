@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdiffmri.diffusion import make_schedule, sample_yt
-from ssdiffmri.kspace import EncodingOperator, encode, ifft2c, zero_filled
+from ssdiffmri.kspace import EncodingOperator, adjoint_op, encode, ifft2c
 from ssdiffmri.losses import recon_loss_masked
-from ssdiffmri.masks import (SamplingMask, apply_mask, make_random_mask, partition_mask,
-                             stack_columns)
+from ssdiffmri.masks import SamplingMask, make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, ssim
 from ssdiffmri import pipeline
 from ssdiffmri.nets import Denoiser
@@ -76,7 +75,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(hidden=0), dict(disc_width=0), dict(batch_size=0), dict(epochs=0),
         dict(max_steps=-1), dict(checkpoint_every=-1), dict(seed=-1),
-        dict(init_noise_var=-0.1), dict(t_start=-1), dict(t_start=101),
+        dict(init_noise_var=-0.1), dict(t_start=-1), dict(t_start=1), dict(t_start=101),
         dict(dtype="float16"), dict(beta_1=0.0), dict(beta_1=0.03),
         dict(beta_T=1.0), dict(lr=float("nan")), dict(R=float("inf")),
     ], ids=repr)
@@ -210,7 +209,7 @@ class TestDCProjection:
         pred = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
         meas = np.stack([item.kspace for item in slices])
         masks = [item.acquired for item in slices]
-        cols = stack_columns(masks)
+        cols = np.stack([m.sampled for m in masks])[:, None, None, :]
         for fn in (dc_project, dc_project_kspace):
             assert np.array_equal(
                 fn(pred, meas, sens, cols),
@@ -224,19 +223,18 @@ class TestReconLoss:
     def _setup(self):
         sens, slices, _ = make_fixture(coils=4, n=1)
         item = slices[0]
-        part = partition_mask(item.acquired, 0.5, seed=1)
+        train, loss = partition_mask(item.acquired, 0.5, seed=1)
         rng = np.random.default_rng(9)
         y0_pred = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        return sens, item, part, y0_pred, make_schedule(100)
+        return sens, item, train, loss, y0_pred, make_schedule(100, 1e-4, 0.02)
 
     @pytest.mark.parametrize("t", [25, 50, 75])
     def test_direct_loss_matches_noise_oracle(self, t):
         # the noise-prediction loss of the loss columns, built from the noise
         # pair of a y_t draw, equals the direct residual loss: eps and y_t
         # cancel
-        sens, item, part, y0_pred, sched = self._setup()
-        op = EncodingOperator(sens, part.train, 32, 32)
-        y0_in = zero_filled(apply_mask(item.kspace, part.train), op)
+        sens, item, train, loss_cols, y0_pred, sched = self._setup()
+        y0_in = adjoint_op(item.kspace, sens, train)
         rng = np.random.default_rng(t)
         eps = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         y_t = sample_yt(y0_in, t, eps, sched)
@@ -244,22 +242,21 @@ class TestReconLoss:
         coef = np.sqrt(ab) / np.sqrt(1.0 - ab)
         eps_pred = sens * ((y_t - np.sqrt(ab) * y0_pred) / np.sqrt(1.0 - ab))
         eps_true = (sens * (eps + coef * y0_in)
-                    - coef * ifft2c(apply_mask(item.kspace, part.loss)))
-        oracle = recon_loss_masked(eps_true, eps_pred, part.loss, t, sched)
-        loss, _ = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss.sampled, t, sched)
+                    - coef * ifft2c(np.where(loss_cols, item.kspace, 0)))
+        oracle = recon_loss_masked(eps_true, eps_pred, loss_cols, t, sched)
+        loss, _ = recon_loss_and_grad(y0_pred, item.kspace, sens, loss_cols, t, sched)
         assert oracle > 0
         assert abs(loss - oracle) <= 1e-12 * oracle
 
     def test_gradient_matches_finite_difference(self):
         # d loss / d Re(y0_pred) + i d loss / d Im(y0_pred); the loss is
         # quadratic, so central differences carry rounding error only
-        sens, item, part, y0_pred, sched = self._setup()
+        sens, item, _, loss_cols, y0_pred, sched = self._setup()
         t = 50
-        _, grad = recon_loss_and_grad(y0_pred, item.kspace, sens, part.loss.sampled, t, sched)
+        _, grad = recon_loss_and_grad(y0_pred, item.kspace, sens, loss_cols, t, sched)
 
         def loss_at(x):
-            return float(recon_loss_and_grad(x, item.kspace, sens, part.loss.sampled,
-                                             t, sched)[0])
+            return float(recon_loss_and_grad(x, item.kspace, sens, loss_cols, t, sched)[0])
 
         rng = np.random.default_rng(10)
         h = 1e-3
@@ -350,11 +347,9 @@ class TestTrainStep:
         inputs_a = seen.pop()
 
         # find this step's partition by reproducing the trainer's seed stream
-        from ssdiffmri.masks import partition_mask
         rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, 1, item.slice_id, 0])
-        part = partition_mask(item.acquired, cfg.rho, seed=int(rng.integers(2**31)))
-        loss_only = np.setdiff1d(part.loss.outer_indices(),
-                                 part.train.outer_indices())
+        train, loss = partition_mask(item.acquired, cfg.rho, seed=int(rng.integers(2**31)))
+        loss_only = np.flatnonzero(loss & ~train)
         assert loss_only.size > 0
         ks2 = item.kspace.copy()
         ks2[..., loss_only] += 0.37 - 0.81j
@@ -570,7 +565,7 @@ class TestReconstruct:
         meas = encode(ph, op)
         cfg = small_cfg()
         den, _ = build_models(cfg)
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         res = reconstruct(meas, full, sens, den, sched, cfg, seed=0,
                           allow_untrained=True)
         assert nmse(ph, res.image) < 1e-3
@@ -583,7 +578,7 @@ class TestReconstruct:
         op = EncodingOperator(sens, om, rows, rows)
         cfg = small_cfg()
         den, _ = build_models(cfg)
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         with pytest.raises(RuntimeError):
             reconstruct(encode(ph, op), om, sens, den, sched, cfg, seed=0)
 
@@ -596,7 +591,7 @@ class TestReconstruct:
         meas = encode(ph, op)
         cfg = small_cfg()
         den, _ = build_models(cfg)
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         a = reconstruct(meas, om, sens, den, sched, cfg, seed=5, allow_untrained=True)
         b = reconstruct(meas, om, sens, den, sched, cfg, seed=5, allow_untrained=True)
         assert np.array_equal(a.image, b.image)
@@ -612,7 +607,7 @@ class TestReconstruct:
                       EncodingOperator(sens, om, rows, rows))
         cfg = TrainConfig(T=100, stride_k=25, hidden=24, disc_width=10, t_start=50)
         den, _ = build_models(cfg)
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         for seed in range(3):
             reconstruct(meas, om, sens, den, sched, cfg, seed=seed, allow_untrained=True)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -629,7 +624,7 @@ class TestReconstruct:
         meas = encode(ph, op)
         cfg = TrainConfig(R=1, rho=0.5, seed=0, stride_k=stride, T=100,
                           t_start=2 * stride if 2 * stride <= 100 else stride)
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         res = reconstruct(meas, full, sens, _TruthOracle(ph), sched, cfg, seed=1)
         assert nmse(ph, res.image) < 1e-3
 
@@ -641,7 +636,7 @@ class TestReconstruct:
         op = EncodingOperator(sens, om, rows, rows)
         meas = encode(ph, op)
         cfg = small_cfg()
-        sched = make_schedule(cfg.T)
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
         res = reconstruct(meas, om, sens, _TruthOracle(ph), sched, cfg, seed=2)
         cols = om.indices()
         assert np.array_equal(res.final_kspace[..., cols], meas[..., cols])
@@ -652,8 +647,13 @@ class TestReconstruct:
     @pytest.mark.parametrize("t_start", [1, 2, 26, 50, 100])
     def test_grid_edges(self, t_start):
         # one model call per grid step, from t_start down by stride_k while
-        # t >= 2, and the acquired columns pinned even on an empty grid
+        # t >= 2, and the acquired columns pinned; t_start 1, whose grid
+        # would be empty, is refused
         ph, meas, om, sens, cfg, sched = self._two_step_problem()
+        if t_start == 1:
+            with pytest.raises(ValueError, match="t_start"):
+                TrainConfig(**{**cfg.to_dict(), "t_start": t_start})
+            return
         cfg = TrainConfig(**{**cfg.to_dict(), "t_start": t_start})
         seen = []
 
@@ -675,7 +675,7 @@ class TestReconstruct:
         om = make_random_mask(rows, 4, 0.06, seed=6)
         meas = encode(ph, EncodingOperator(sens, om, rows, rows))
         cfg = TrainConfig(R=4, rho=0.5, seed=0, stride_k=25, T=100, t_start=50)
-        return ph, meas, om, sens, cfg, make_schedule(cfg.T)
+        return ph, meas, om, sens, cfg, make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
 
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_last_prediction_raises(self, part):
