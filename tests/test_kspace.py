@@ -135,22 +135,6 @@ class TestEncoding:
                                    a * encode(x, operator) + b * encode(z, operator),
                                    atol=1e-10)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_column_mask_is_a_projection(self, seed):
-        # a boolean column mask keeps the sampled columns bit for bit and
-        # zeros the rest; masking again changes nothing, and it is linear
-        rng = np.random.default_rng(seed)
-        sens = generate_sensitivities(2, 32, 32, seed=seed % 97)
-        cols = make_random_mask(32, 4, 0.04, seed=seed).sampled
-        x, z = _rand_image(rng, 32, 32), _rand_image(rng, 32, 32)
-        full, masked = forward_op(x, sens), forward_op(x, sens, cols)
-        assert np.array_equal(masked[..., cols], full[..., cols])
-        assert not np.any(masked[..., ~cols])
-        assert np.array_equal(adjoint_op(masked, sens, cols), adjoint_op(masked, sens))
-        np.testing.assert_allclose(forward_op(2 * x + 3j * z, sens, cols),
-                                   2 * masked + 3j * forward_op(z, sens, cols), atol=1e-10)
-
     def test_shape_mismatch(self, operator):
         with pytest.raises(ValueError):
             encode(np.zeros((16, 16), complex), operator)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssdiffmri.kspace import adjoint_op, forward_op
 from ssdiffmri.masks import SamplingMask, center_range, make_random_mask, partition_mask
+from ssdiffmri.tensorio import generate_sensitivities
 
 
 class TestRandomMask:
@@ -50,6 +54,65 @@ class TestRandomMask:
         assert back.width == m.width
         assert back.center == m.center
         assert np.array_equal(back.sampled, m.sampled)
+
+
+def _rand(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestApplyMask:
+    # a mask's boolean columns as the encoding operator applies them:
+    # forward_op zeroes k-space outside them, adjoint_op masks its input
+
+    def test_center_only_mask(self):
+        lo, hi = center_range(32, 0.1)
+        sampled = np.zeros(32, bool)
+        sampled[lo:hi] = True
+        cols = SamplingMask(32, sampled, (lo, hi)).sampled
+        sens = np.ones((1, 32, 32), complex)
+        x = _rand(np.random.default_rng(0), (32, 32))
+        full, out = forward_op(x, sens), forward_op(x, sens, cols)
+        assert np.array_equal(out[..., lo:hi], full[..., lo:hi])
+        assert not np.any(out[..., :lo])
+        assert not np.any(out[..., hi:])
+
+    def test_idempotent_and_linear(self):
+        cols = make_random_mask(48, 4, 0.04, seed=1).sampled
+        rng = np.random.default_rng(1)
+        sens = generate_sensitivities(2, 48, 48, seed=1)
+        a, b = _rand(rng, (48, 48)), _rand(rng, (48, 48))
+        masked = forward_op(a, sens, cols)
+        assert np.array_equal(adjoint_op(masked, sens, cols), adjoint_op(masked, sens))
+        np.testing.assert_allclose(forward_op(2 * a + 3j * b, sens, cols),
+                                   2 * masked + 3j * forward_op(b, sens, cols), atol=1e-10)
+        y, z = _rand(rng, (2, 48, 48)), _rand(rng, (2, 48, 48))
+        np.testing.assert_allclose(adjoint_op(2 * y + 3j * z, sens, cols),
+                                   2 * adjoint_op(y, sens, cols)
+                                   + 3j * adjoint_op(z, sens, cols), atol=1e-10)
+
+    def test_sampled_columns_bit_exact(self):
+        m = make_random_mask(48, 4, 0.04, seed=2)
+        rng = np.random.default_rng(2)
+        sens = generate_sensitivities(4, 48, 48, seed=2)
+        x, y = _rand(rng, (48, 48)), _rand(rng, (4, 48, 48))
+        idx = m.indices()
+        assert np.array_equal(forward_op(x, sens, m.sampled)[..., idx],
+                              forward_op(x, sens)[..., idx])
+        kept = np.zeros_like(y)
+        kept[..., idx] = y[..., idx]
+        assert np.array_equal(adjoint_op(y, sens, m.sampled), adjoint_op(kept, sens))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_projection_property(self, seed):
+        rng = np.random.default_rng(seed)
+        cols = make_random_mask(64, 4, 0.04, seed=seed).sampled
+        sens = generate_sensitivities(2, 64, 64, seed=seed % 97)
+        x = _rand(rng, (64, 64))
+        full, once = forward_op(x, sens), forward_op(x, sens, cols)
+        assert np.array_equal(once[..., cols], full[..., cols])
+        assert not np.any(once[..., ~cols])
+        assert np.array_equal(adjoint_op(once, sens, cols), adjoint_op(once, sens))
 
 
 def center_columns(acquired):
