@@ -341,6 +341,8 @@ def _read_metric_csv(path):
 
 
 def cmd_stats(args):
+    if len(args.reports) < 2:
+        raise argparse.ArgumentError(None, "stats needs at least 2 metrics.csv reports")
     tables = {}
     for path in args.reports:
         rows = _read_metric_csv(path)
@@ -439,28 +441,28 @@ def build_parser():
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def command(name, func, summary):
+        """A subcommand's parser; `run` reports its usage errors through it."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func, parser=sp)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_at_least(int, 0), default=0)
         sp.add_argument("--force", action="store_true",
                         help="overwrite a non-empty output directory")
+        return sp
 
-    sp = sub.add_parser("phantom", help="generate a synthetic dataset")
-    add_common(sp)
+    sp = command("phantom", cmd_phantom, "generate a synthetic dataset")
     sp.add_argument("--n", type=_at_least(int, 1), default=200)
     sp.add_argument("--size", type=_at_least(int, 16), default=64)
     sp.add_argument("--coils", type=_at_least(int, 1), default=4)
     sp.add_argument("--ellipses", type=_at_least(int, 1), default=8)
-    sp.set_defaults(func=cmd_phantom)
 
-    sp = sub.add_parser("undersample", help="mask and encode a dataset")
-    add_common(sp)
+    sp = command("undersample", cmd_undersample, "mask and encode a dataset")
     sp.add_argument("--data", required=True)
     sp.add_argument("--R", type=_at_least(float, 1), default=4.0)
     sp.add_argument("--center-fraction", type=_FRACTION, default=0.04,
                     dest="center_fraction")
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
-    sp.set_defaults(func=cmd_undersample)
 
     def add_train_flags(sp):
         for name in _TRAIN_FLAGS:
@@ -470,41 +472,30 @@ def build_parser():
         sp.add_argument("--config", default=None,
                         help="JSON file overriding TrainConfig fields")
 
-    sp = sub.add_parser("train", help="self-supervised training run")
-    add_common(sp)
+    sp = command("train", cmd_train, "self-supervised training run")
     sp.add_argument("--data", required=True, help="undersampled directory")
     sp.add_argument("--resume", default=None, help="checkpoint directory")
     add_train_flags(sp)
-    sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("recon", help="reconstruct an undersampled directory")
-    add_common(sp)
+    sp = command("recon", cmd_recon, "reconstruct an undersampled directory")
     sp.add_argument("--data", required=True)
     sp.add_argument("--run", required=True, help="training run directory")
     sp.add_argument("--t-start", type=int, default=0, dest="t_start",
                     help="first reverse step: 0 means T // 4, else 2..T")
-    sp.set_defaults(func=cmd_recon)
 
-    sp = sub.add_parser("zerofill", help="zero-filled baseline reconstructions")
-    add_common(sp)
+    sp = command("zerofill", cmd_zerofill, "zero-filled baseline reconstructions")
     sp.add_argument("--data", required=True)
-    sp.set_defaults(func=cmd_zerofill)
 
-    sp = sub.add_parser("eval", help="metrics of recons against truth")
-    add_common(sp)
+    sp = command("eval", cmd_eval, "metrics of recons against truth")
     sp.add_argument("--recon", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--method", default="recon")
     sp.add_argument("--n-boot", type=_at_least(int, 2), default=10000, dest="n_boot")
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("stats", help="ANOVA and Tukey HSD across method reports")
-    add_common(sp)
+    sp = command("stats", cmd_stats, "ANOVA and Tukey HSD across method reports")
     sp.add_argument("reports", nargs="+", help="metrics.csv files (>= 2)")
-    sp.set_defaults(func=cmd_stats)
 
-    sp = sub.add_parser("sweep", help="train/evaluate over a rho grid")
-    add_common(sp)
+    sp = command("sweep", cmd_sweep, "train/evaluate over a rho grid")
     sp.add_argument("--data", required=True, help="phantom dataset directory")
     sp.add_argument("--rho-grid", type=_FRACTION, nargs="+", default=[0.3, 0.5, 0.7],
                     dest="rho_grid")
@@ -515,19 +506,15 @@ def build_parser():
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
     sp.add_argument("--n-boot", type=_at_least(int, 2), default=1000, dest="n_boot")
     add_train_flags(sp)
-    sp.set_defaults(func=cmd_sweep)
     return p
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stats" and len(args.reports) < 2:
-        parser.error("stats needs at least 2 metrics.csv reports")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentError as exc:  # a flag out of range for its data or run
-        parser.error(str(exc))
+    except argparse.ArgumentError as exc:  # found by the command, not by argparse
+        args.parser.error(str(exc))
     except (RuntimeError, OSError, ValueError, FloatingPointError,
             tensorio.CkspError) as exc:
         print(f"error: {exc}", file=sys.stderr)

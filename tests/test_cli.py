@@ -567,6 +567,8 @@ class TestBadInput:
         ("train", "--adv-weight", "-1"), ("train", "--hidden", "0"),
         ("train", "--disc-width", "0"), ("train", "--max-steps", "-1"),
         ("train", "--t-start", "1"), ("train", "--t-start", "101"), ("train", "--seed", "-1"),
+        ("phantom", "--seed", "-1"), ("undersample", "--seed", "-1"),
+        ("recon", "--seed", "-1"), ("eval", "--seed", "-1"),
     ], ids=lambda argv: " ".join(argv))
     def test_bad_flag_value_exits_2_naming_flag(self, dataset, undersampled, trained,
                                                 recon_dirs, tmp_path, capsys, argv):
@@ -585,6 +587,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"argument {argv[1]}: " in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("undersample", "--R", "100"),
+                                      ("recon", "--t-start", "500")],
+                             ids=lambda argv: " ".join(argv))
+    def test_in_command_usage_error_shows_the_command_usage(self, dataset, undersampled,
+                                                            trained, tmp_path, capsys, argv):
+        # checked against the dataset or the run, after argparse has finished
+        inputs = {"undersample": ("--data", str(dataset)),
+                  "recon": ("--data", str(undersampled), "--run", str(trained))}[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            invoke(argv[0], *inputs, *argv[1:], "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(f"usage: ssdiffmri {argv[0]} [-h]")
+        assert f"ssdiffmri {argv[0]}: error: argument {argv[1]}: " in err
 
     def test_recon_non_finite_sampler_state_exits_1(self, undersampled, trained, tmp_path,
                                                     capsys, monkeypatch):

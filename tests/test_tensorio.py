@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -191,7 +192,75 @@ class TestMalformedFiles:
         assert np.asarray(t, "<c8").tobytes() == rest[4 + header_len:]
 
 
+def _full_grid_phantom(rows, cols, n_ellipses, seed):
+    """The phantom generator as it was before the bounding-box rewrite: every
+    ellipse tested on the whole grid. The reference for byte identity."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:rows, 0:cols]
+    y = (yy - (rows - 1) / 2.0) / ((rows - 1) / 2.0)
+    x = (xx - (cols - 1) / 2.0) / ((cols - 1) / 2.0)
+    r2 = (x / 0.92) ** 2 + (y / 0.92) ** 2
+    img = np.where(r2 <= 1.0, 0.8 * (1.0 - 0.5 * r2), 0.0)
+    for _ in range(n_ellipses - 1):
+        cx = rng.uniform(-0.55, 0.55)
+        cy = rng.uniform(-0.55, 0.55)
+        ax = rng.uniform(0.08, 0.35)
+        ay = rng.uniform(0.08, 0.35)
+        theta = rng.uniform(0.0, np.pi)
+        amp = rng.uniform(0.15, 0.45) * rng.choice([-1.0, 1.0])
+        ct, st = np.cos(theta), np.sin(theta)
+        xr = (x - cx) * ct + (y - cy) * st
+        yr = -(x - cx) * st + (y - cy) * ct
+        img = img + np.where((xr / ax) ** 2 + (yr / ay) ** 2 <= 1.0, amp, 0.0)
+    return np.clip(img, 0.0, 1.0).astype(np.complex128)
+
+
 class TestPhantom:
+    # (rows, cols, ellipses, seed, sha256 of the complex128 bytes), from the
+    # full-grid generator. Each seed is the one of 0..299 whose ellipse
+    # bounding boxes reach farthest towards the border: past it on the
+    # 16-pixel axes, up to it on the 33-row one (an ellipse reaches at most
+    # 0.9 from the center, so larger grids keep a margin).
+    PINNED = [
+        (16, 16, 1, 0, "74aefe5d8533d79c3fdd154fac578e69a468a69a4599c124e2289f0e98c17d8d"),
+        (16, 16, 2, 53, "3ca460e1e68e8a4bf7e0225f1dea52d63761f4a427c054bbe992345ca94718a0"),
+        (16, 16, 8, 13, "d8246e19f1a17614a2f2e5f6849e2d93462efba0edb22e6135f5aa7f09f9d4b0"),
+        (16, 16, 20, 0, "9b29d685f48c6d2744b6b644b9b6e462ce690a6cb22b9f635bc2e54b6ecf117a"),
+        (16, 40, 1, 0, "db8670cfee3dc61f5d059c417180d56c54e2a70cafdbb4feb650d2e19cef27fd"),
+        (16, 40, 2, 56, "084e1d03a9f5d8a900e6bfd3a2961d5d1fb354eba1d8b428b0e95d46712a12b4"),
+        (16, 40, 8, 27, "8b0c81a6700c942f0eff8f903f66b37ea3f8850b5fa6220df093a1b82d85e7f3"),
+        (16, 40, 20, 0, "038e5e8f414ffc8589f3826922eb404716e3c2392e1d8d08c4def684c8a25db7"),
+        (33, 64, 1, 0, "9b498f9fc4dd387ea714bc8511217decdf1e63dc866538577467f674ddba2ae4"),
+        (33, 64, 2, 56, "1f54728b6a56c0b984766dd3fd795bc202f81784643b812e443254bc01d7d45a"),
+        (33, 64, 8, 27, "8d30a01a930ea105cd75c65131d4fd3f9f309aadd7fb815476b8db1a24831012"),
+        (33, 64, 20, 0, "d085d7779869979c1975aefad3003602122f0d9970fd4b6b010d8d52b99c7036"),
+        (64, 64, 1, 0, "87b156adf5c9dfe50756422c00b38b1e1073e5861c1ed754f5cb4b00b40d9e2e"),
+        (64, 64, 2, 56, "6d0945d52245d1ddac8ac42ba8177e5d7f790762a3f7a9138f0bfec98e2c1431"),
+        (64, 64, 8, 13, "3df2b178008b386f86bbb31e2b5bbc865aa791cd6dcbf6a4312185f8e469fd90"),
+        (64, 64, 20, 0, "e6918dbdc2d204cbed6e1dca6e5e17f01c522836977cccc235a4fc0fbd307ba4"),
+        (128, 96, 1, 0, "c5277691b8934cf7ca8d63b17151c97eee389aaa5a953166e5fcd9bfd9f92912"),
+        (128, 96, 2, 126, "fda7083daad8be3eb31f774d249cda589e31836b26de853f4aaa22479054b295"),
+        (128, 96, 8, 13, "82b9746fa60451f491d5cd95b5e86febe85b66f01c756fa41b7470ecf7eef24e"),
+        (128, 96, 20, 8, "1338380e1cbe8b3500d3fc7cf6fd53288bb8720195c0a4b9fe49776d685646bd"),
+    ]
+
+    @pytest.mark.parametrize("rows,cols,n_ellipses,seed,digest", PINNED,
+                             ids=lambda v: str(v)[:8])
+    def test_pinned_bytes(self, rows, cols, n_ellipses, seed, digest):
+        ph = generate_phantom(rows, cols, n_ellipses, seed=seed)
+        assert ph.dtype == np.complex128 and ph.shape == (rows, cols)
+        assert hashlib.sha256(ph.tobytes()).hexdigest() == digest
+
+    def test_equals_the_full_grid_generator(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1200):
+            rows, cols = (int(v) for v in rng.integers(16, 100, 2))
+            n_ellipses = int(rng.integers(1, 21))
+            seed = int(rng.integers(0, 2**32))
+            case = (rows, cols, n_ellipses, seed)
+            assert (generate_phantom(rows, cols, n_ellipses, seed=seed).tobytes()
+                    == _full_grid_phantom(*case).tobytes()), case
+
     def test_deterministic(self):
         a = generate_phantom(32, 32, 5, seed=3)
         b = generate_phantom(32, 32, 5, seed=3)
