@@ -10,6 +10,7 @@ range, checked before any output is written), 1 runtime failure.
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -25,26 +26,27 @@ from .pipeline import SliceData, TrainConfig, Trainer, build_models, evaluate_ru
 from .nets import load_checkpoint, save_checkpoint
 from .stats import MetricReport, compare_methods
 
-OUT_ROOT_ENV = "SSDIFFMRI_OUT"
-
-# TrainConfig fields that `train` and `sweep` take as flags (--rho,
-# --batch-size, ...), with the field's default and its type
+# TrainConfig fields that `train` takes as flags (--rho, --batch-size, ...),
+# with the field's default and its type; `sweep` takes all but the first,
+# since its --rho-grid sets each run's rho
 _TRAIN_FLAGS = ("rho", "lr", "batch_size", "epochs", "T", "stride_k",
                "adv_weight", "hidden", "disc_width", "max_steps", "t_start")
 
 
-def _default_out(args, name):
-    if args.out:
-        return args.out
-    return os.path.join(os.environ.get(OUT_ROOT_ENV, "."), name)
-
-
-def _prepare_out(path, force):
-    if os.path.isdir(path) and os.listdir(path):
+def _out_dir(out, name, *subdirs, force=None):
+    """The command's output directory: `out` (its --out), else `name` under
+    $SSDIFFMRI_OUT or ".". A command that starts it afresh passes its --force:
+    the directory must be empty unless `force`, which clears it, and gets
+    `subdirs`. eval and stats pass no `force` and add files to it."""
+    out = out or os.path.join(os.environ.get("SSDIFFMRI_OUT", "."), name)
+    if force is not None and os.path.isdir(out) and os.listdir(out):
         if not force:
-            raise RuntimeError(f"output directory {path!r} is not empty (use --force)")
-        shutil.rmtree(path)
-    os.makedirs(path, exist_ok=True)
+            raise RuntimeError(f"output directory {out!r} is not empty (use --force)")
+        shutil.rmtree(out)
+    os.makedirs(out, exist_ok=True)
+    for sub in subdirs:
+        os.makedirs(os.path.join(out, sub))
+    return out
 
 
 def _read_shaped(path, shape):
@@ -65,9 +67,7 @@ def _load_dataset(path):
 
 
 def cmd_phantom(args):
-    out = _default_out(args, "phantom_out")
-    _prepare_out(out, args.force)
-    os.makedirs(os.path.join(out, "slices"))
+    out = _out_dir(args.out, "phantom_out", "slices", force=args.force)
     sens = tensorio.generate_sensitivities(args.coils, args.size, args.size,
                                            seed=args.seed)
     tensorio.write_tensor(sens, os.path.join(out, "sens.cksp"))
@@ -99,10 +99,7 @@ def _check_R(width, R_values, center_fraction, flag):
 def cmd_undersample(args):
     manifest, sens = _load_dataset(args.data)
     _check_R(manifest.cols, [args.R], args.center_fraction, "--R")
-    out = _default_out(args, "undersampled_out")
-    _prepare_out(out, args.force)
-    os.makedirs(os.path.join(out, "masks"))
-    os.makedirs(os.path.join(out, "kspace"))
+    out = _out_dir(args.out, "undersampled_out", "masks", "kspace", force=args.force)
     meta = {"R": args.R, "center_fraction": args.center_fraction,
             "seed": args.seed, "noise_std": args.noise_std,
             "dataset": os.path.abspath(args.data)}
@@ -175,11 +172,11 @@ def _config_from_dict(values, source, base=None):
 
 
 def _flag_config(args):
-    """TrainConfig of the train flags alone; a value out of range is a usage
-    error naming its flag (TrainConfig's messages start with the field)."""
+    """TrainConfig of the command's train flags alone; a value out of range is
+    a usage error naming its flag (TrainConfig's messages start with the field)."""
     try:
-        return TrainConfig(seed=args.seed,
-                           **{name: getattr(args, name) for name in _TRAIN_FLAGS})
+        return TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in
+                                              _TRAIN_FLAGS if name in vars(args)})
     except ValueError as exc:
         flag = "--" + str(exc).split()[0].replace("_", "-")
         raise argparse.ArgumentError(None, f"argument {flag}: {exc}") from exc
@@ -201,10 +198,7 @@ def cmd_train(args):
     if args.resume:
         load_checkpoint(args.resume, den.state, disc.state)
 
-    out = _default_out(args, "train_out")
-    _prepare_out(out, args.force)
-    os.makedirs(os.path.join(out, "checkpoints"))
-    os.makedirs(os.path.join(out, "logs"))
+    out = _out_dir(args.out, "train_out", "checkpoints", "logs", force=args.force)
     with open(os.path.join(out, "config.json"), "w") as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
 
@@ -232,25 +226,18 @@ def cmd_train(args):
     return 0
 
 
-def _load_models_for_recon(run_dir):
-    path = os.path.join(run_dir, "config.json")
-    cfg = _config_from_dict(_parse_file(path, json.loads), path)
-    den, disc = build_models(cfg)
-    load_checkpoint(os.path.join(run_dir, "checkpoints", "final"), den.state, disc.state)
-    return cfg, den, disc
-
-
 def cmd_recon(args):
     meta, manifest, sens, slices = _load_undersampled(args.data)
-    cfg, den, _ = _load_models_for_recon(args.run)
+    path = os.path.join(args.run, "config.json")
+    cfg = _config_from_dict(_parse_file(path, json.loads), path)
+    den, disc = build_models(cfg)
+    load_checkpoint(os.path.join(args.run, "checkpoints", "final"), den.state, disc.state)
     if args.t_start:
         try:
             cfg = TrainConfig(**{**cfg.to_dict(), "t_start": args.t_start})
         except ValueError as exc:
             raise argparse.ArgumentError(None, f"argument --t-start: {exc}") from exc
-    out = _default_out(args, "recon_out")
-    _prepare_out(out, args.force)
-    os.makedirs(os.path.join(out, "recons"))
+    out = _out_dir(args.out, "recon_out", "recons", force=args.force)
     sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     for item in slices:
         res = reconstruct(item.kspace, item.acquired, sens, den, sched, cfg,
@@ -271,9 +258,7 @@ def cmd_recon(args):
 
 def cmd_zerofill(args):
     meta, manifest, sens, slices = _load_undersampled(args.data)
-    out = _default_out(args, "zf_out")
-    _prepare_out(out, args.force)
-    os.makedirs(os.path.join(out, "recons"))
+    out = _out_dir(args.out, "zf_out", "recons", force=args.force)
     for item in slices:
         op = EncodingOperator(sens, item.acquired, manifest.rows, manifest.cols)
         tensorio.write_tensor(zero_filled(item.kspace, op),
@@ -304,8 +289,7 @@ def cmd_eval(args):
               for rel in manifest.slices]
     report = evaluate_run(recons, truths, method=args.method,
                           n_boot=args.n_boot, seed=args.seed)
-    out = _default_out(args, "eval_out")
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args.out, "eval_out")
     with open(os.path.join(out, f"{args.method}.metrics.csv"), "w") as f:
         f.write(report.csv_rows())
     with open(os.path.join(out, f"{args.method}.aggregate.json"), "w") as f:
@@ -343,19 +327,19 @@ def _read_metric_csv(path):
 def cmd_stats(args):
     if len(args.reports) < 2:
         raise argparse.ArgumentError(None, "stats needs at least 2 metrics.csv reports")
-    tables = {}
+    tables, sources = {}, {}
     for path in args.reports:
         rows = _read_metric_csv(path)
         method = next(iter(rows.values()))["method"] if rows else path
-        tables[method] = rows
+        if method in sources:
+            raise RuntimeError(f"{sources[method]} and {path} both report method {method!r}")
+        tables[method], sources[method] = rows, path
     slice_sets = {m: set(t) for m, t in tables.items()}
     common = set.intersection(*slice_sets.values())
     mismatched = {m: sorted(s - common) for m, s in slice_sets.items() if s - common}
     if mismatched:
         raise RuntimeError(f"slice sets differ between methods: {mismatched}")
 
-    out = _default_out(args, "stats_out")
-    os.makedirs(out, exist_ok=True)
     results = {}
     for metric in MetricReport.METRICS:
         groups = {m: np.array([t[i][metric] for i in sorted(common)])
@@ -365,6 +349,7 @@ def cmd_stats(args):
         print(f"{metric}: ANOVA F={res.anova_f:.4g} p={res.anova_p:.4g}")
         for a, b, q, p in res.pairwise:
             print(f"  {a} vs {b}: q={q:.4g} p={p:.4g}")
+    out = _out_dir(args.out, "stats_out")
     with open(os.path.join(out, "tests.json"), "w") as f:
         json.dump(results, f, indent=2, sort_keys=True)
     return 0
@@ -376,32 +361,27 @@ def cmd_sweep(args):
     _flag_config(args)
     manifest, sens = _load_dataset(args.data)
     _check_R(manifest.cols, args.R_grid, args.center_fraction, "--R-grid")
-    out = _default_out(args, "sweep_out")
-    _prepare_out(out, args.force)
+    out = _out_dir(args.out, "sweep_out", force=args.force)
     truths = [_read_shaped(os.path.join(args.data, rel), sens.shape[1:])
               for rel in manifest.slices]
-
-    def sub_args(**overrides):
-        ns = argparse.Namespace(**vars(args))
-        ns.force = True
-        ns.resume = None
-        for key, val in overrides.items():
-            setattr(ns, key, val)
-        return ns
+    shared = {"seed": args.seed, "force": True}
+    train_flags = {name: getattr(args, name) for name in _TRAIN_FLAGS[1:]}
 
     rows = ["R,rho,slice,nmse,psnr,ssim"]
     summary = {}
     for R in args.R_grid:
         for rho in args.rho_grid:
             tag = f"R{R:g}_rho{rho:g}"
-            sub = os.path.join(out, tag)
-            cmd_undersample(sub_args(out=os.path.join(sub, "undersampled"), R=R))
-            cmd_train(sub_args(data=os.path.join(sub, "undersampled"), rho=rho,
-                               out=os.path.join(sub, "run")))
-            cmd_recon(sub_args(data=os.path.join(sub, "undersampled"),
-                               run=os.path.join(sub, "run"),
-                               out=os.path.join(sub, "recon")))
-            recons = _read_recons(os.path.join(sub, "recon"), len(truths), sens.shape[1:])
+            under, run_dir, rec = (os.path.join(out, tag, d)
+                                   for d in ("undersampled", "run", "recon"))
+            cmd_undersample(argparse.Namespace(
+                data=args.data, out=under, R=R, center_fraction=args.center_fraction,
+                noise_std=args.noise_std, **shared))
+            cmd_train(argparse.Namespace(data=under, out=run_dir, resume=None,
+                                         config=args.config, rho=rho, **train_flags, **shared))
+            cmd_recon(argparse.Namespace(data=under, run=run_dir, out=rec,
+                                         t_start=args.t_start, **shared))
+            recons = _read_recons(rec, len(truths), sens.shape[1:])
             report = evaluate_run(recons, truths, method=tag,
                                   n_boot=args.n_boot, seed=args.seed)
             for i in range(len(recons)):
@@ -436,19 +416,30 @@ def _at_least(kind, low):
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
+def _method_name(text):
+    """argparse type: a method name, which `eval` puts in its file names and
+    CSV rows, so no path separator, comma or leading dot."""
+    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a [A-Za-z0-9][A-Za-z0-9_.-]* name")
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="ssdiffmri",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
-        """A subcommand's parser; `run` reports its usage errors through it."""
-        sp = sub.add_parser(name, help=summary)
+    def command(name, func, summary, seed=True, force=True):
+        """A subcommand's parser; `run` reports its usage errors through it.
+        No abbreviations: `sweep --rho` must not pass for `--rho-grid`."""
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         sp.set_defaults(func=func, parser=sp)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=_at_least(int, 0), default=0)
-        sp.add_argument("--force", action="store_true",
-                        help="overwrite a non-empty output directory")
+        if seed:
+            sp.add_argument("--seed", type=_at_least(int, 0), default=0)
+        if force:
+            sp.add_argument("--force", action="store_true",
+                            help="overwrite a non-empty output directory")
         return sp
 
     sp = command("phantom", cmd_phantom, "generate a synthetic dataset")
@@ -464,8 +455,8 @@ def build_parser():
                     dest="center_fraction")
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
 
-    def add_train_flags(sp):
-        for name in _TRAIN_FLAGS:
+    def add_train_flags(sp, names):
+        for name in names:
             default = getattr(TrainConfig, name)
             sp.add_argument("--" + name.replace("_", "-"), dest=name,
                             type=type(default), default=default)
@@ -475,7 +466,7 @@ def build_parser():
     sp = command("train", cmd_train, "self-supervised training run")
     sp.add_argument("--data", required=True, help="undersampled directory")
     sp.add_argument("--resume", default=None, help="checkpoint directory")
-    add_train_flags(sp)
+    add_train_flags(sp, _TRAIN_FLAGS)
 
     sp = command("recon", cmd_recon, "reconstruct an undersampled directory")
     sp.add_argument("--data", required=True)
@@ -483,16 +474,18 @@ def build_parser():
     sp.add_argument("--t-start", type=int, default=0, dest="t_start",
                     help="first reverse step: 0 means T // 4, else 2..T")
 
-    sp = command("zerofill", cmd_zerofill, "zero-filled baseline reconstructions")
+    sp = command("zerofill", cmd_zerofill, "zero-filled baseline reconstructions",
+                 seed=False)
     sp.add_argument("--data", required=True)
 
-    sp = command("eval", cmd_eval, "metrics of recons against truth")
+    sp = command("eval", cmd_eval, "metrics of recons against truth", force=False)
     sp.add_argument("--recon", required=True)
     sp.add_argument("--truth", required=True)
-    sp.add_argument("--method", default="recon")
+    sp.add_argument("--method", type=_method_name, default="recon")
     sp.add_argument("--n-boot", type=_at_least(int, 2), default=10000, dest="n_boot")
 
-    sp = command("stats", cmd_stats, "ANOVA and Tukey HSD across method reports")
+    sp = command("stats", cmd_stats, "ANOVA and Tukey HSD across method reports",
+                 seed=False, force=False)
     sp.add_argument("reports", nargs="+", help="metrics.csv files (>= 2)")
 
     sp = command("sweep", cmd_sweep, "train/evaluate over a rho grid")
@@ -505,12 +498,14 @@ def build_parser():
                     dest="center_fraction")
     sp.add_argument("--noise-std", type=_at_least(float, 0), default=0.0, dest="noise_std")
     sp.add_argument("--n-boot", type=_at_least(int, 2), default=1000, dest="n_boot")
-    add_train_flags(sp)
+    add_train_flags(sp, _TRAIN_FLAGS[1:])
     return p
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # a flag the command does not take, under the command's usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except argparse.ArgumentError as exc:  # found by the command, not by argparse

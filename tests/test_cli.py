@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -15,6 +16,25 @@ from ssdiffmri.pipeline import TrainConfig
 
 def invoke(*argv):
     return run(list(argv))
+
+
+# flags that a command does not take, though another command does
+_UNTAKEN_FLAGS = [("eval", "--force"), ("stats", "--force"), ("zerofill", "--seed", "1"),
+                  ("stats", "--seed", "1"), ("sweep", "--rho", "0.5"),
+                  ("sweep", "--rho", "1.5")]
+
+
+class Recording(argparse.Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
 
 
 def assert_same_checkpoint(a, b):
@@ -557,7 +577,7 @@ class TestBadInput:
         ("undersample", "--center-fraction", "1"),
         ("sweep", "--R-grid", "2", "0.5"), ("sweep", "--R-grid", "2", "100"),
         ("sweep", "--rho-grid", "0.5", "1.5"), ("sweep", "--rho-grid", "0"),
-        ("sweep", "--center-fraction", "1.5"), ("sweep", "--rho", "1.5"),
+        ("sweep", "--center-fraction", "1.5"),
         ("sweep", "--T", "0"), ("sweep", "--stride-k", "30"), ("sweep", "--seed", "-1"),
         ("recon", "--t-start", "1"), ("recon", "--t-start", "-3"),
         ("recon", "--t-start", "101"),
@@ -569,23 +589,31 @@ class TestBadInput:
         ("train", "--t-start", "1"), ("train", "--t-start", "101"), ("train", "--seed", "-1"),
         ("phantom", "--seed", "-1"), ("undersample", "--seed", "-1"),
         ("recon", "--seed", "-1"), ("eval", "--seed", "-1"),
+        ("eval", "--method", "../x"), ("eval", "--method", "a,b"),
+        *_UNTAKEN_FLAGS,
     ], ids=lambda argv: " ".join(argv))
     def test_bad_flag_value_exits_2_naming_flag(self, dataset, undersampled, trained,
                                                 recon_dirs, tmp_path, capsys, argv):
-        # a usage error, found before any output is written
+        # a usage error, found before any output is written and shown under
+        # the command's usage line
         inputs = {"eval": ("--recon", str(recon_dirs[0]), "--truth", str(dataset)),
                   "sweep": ("--data", str(dataset), "--rho-grid", "0.5", "--R-grid", "2",
                             "--max-steps", "1", "--hidden", "4", "--disc-width", "4"),
                   "undersample": ("--data", str(dataset)),
                   "phantom": ("--size", "16", "--coils", "1"),
                   "recon": ("--data", str(undersampled), "--run", str(trained)),
-                  "train": ("--data", str(undersampled), "--max-steps", "1")}[argv[0]]
+                  "train": ("--data", str(undersampled), "--max-steps", "1"),
+                  "zerofill": ("--data", str(undersampled)),
+                  "stats": tuple(str(tmp_path / f"{m}.metrics.csv") for m in "ab")}[argv[0]]
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             invoke(argv[0], *inputs, *argv[1:], "--out", str(out))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[1]}: " in err and "Traceback" not in err
+        named = (f"unrecognized arguments: {' '.join(argv[1:])}" if argv in _UNTAKEN_FLAGS
+                 else f"argument {argv[1]}: ")
+        assert err.startswith(f"usage: ssdiffmri {argv[0]} [-h]")
+        assert f"ssdiffmri {argv[0]}: error: {named}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [("undersample", "--R", "100"),
@@ -613,6 +641,39 @@ class TestBadInput:
                       "--out", str(tmp_path / "rec")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("others", [("m2",), ()], ids=["beside-another", "alone"])
+    def test_stats_duplicate_method_exits_1_naming_both_files(self, dataset, recon_dirs,
+                                                              tmp_path, capsys, others):
+        # two reports of one method, beside a report of another or alone
+        ev = tmp_path / "ev"
+        for m in ("zf", *others):
+            assert invoke("eval", "--recon", str(recon_dirs[0]), "--truth", str(dataset),
+                          "--method", m, "--n-boot", "50", "--out", str(ev)) == 0
+        shutil.copy(ev / "zf.metrics.csv", ev / "zf_copy.metrics.csv")
+        reports = [ev / f"{m}.metrics.csv" for m in ("zf", "zf_copy", *others)]
+        capsys.readouterr()
+        out = tmp_path / "st"
+        assert invoke("stats", *map(str, reports), "--out", str(out)) == 1
+        assert (f"{reports[0]} and {reports[1]} both report method 'zf'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_stats_failure_leaves_no_output_directory(self, dataset, recon_dirs, tmp_path,
+                                                      capsys):
+        # one slice per method: the tests need two, and fail after reading
+        ev = tmp_path / "ev"
+        for m in ("a", "b"):
+            assert invoke("eval", "--recon", str(recon_dirs[0]), "--truth", str(dataset),
+                          "--method", m, "--n-boot", "50", "--out", str(ev)) == 0
+            lines = (ev / f"{m}.metrics.csv").read_text().split("\n")
+            (ev / f"{m}.metrics.csv").write_text("\n".join(lines[:2]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "st"
+        assert invoke("stats", str(ev / "a.metrics.csv"), str(ev / "b.metrics.csv"),
+                      "--out", str(out)) == 1
+        assert "at least 2 samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stats_single_report_exits_2(self, dataset, recon_dirs, tmp_path):
         rec, _ = recon_dirs
@@ -688,6 +749,52 @@ class TestBadInput:
         assert invoke("eval", "--recon", str(rec), "--truth", str(dataset),
                       "--n-boot", "50", "--out", str(tmp_path / "ev")) == 1
         assert "without a recon [2]" in capsys.readouterr().err
+
+
+class TestFlagsRead:
+    @pytest.mark.parametrize("command", ["phantom", "undersample", "train", "recon",
+                                         "zerofill", "eval", "stats", "sweep"])
+    def test_every_flag_a_command_defines_is_read(self, dataset, undersampled, trained,
+                                                  recon_dirs, tmp_path, monkeypatch,
+                                                  command):
+        # the command runs on a namespace that records its reads; sweep is
+        # also checked through the namespaces it hands undersample, train and
+        # recon, each of which must read every attribute it is given
+        ev = tmp_path / "ev"
+        for m in ("a", "b") if command == "stats" else ():
+            assert invoke("eval", "--recon", str(recon_dirs[0]), "--truth", str(dataset),
+                          "--method", m, "--n-boot", "50", "--out", str(ev)) == 0
+        argv = {"phantom": ["--n", "2", "--size", "16", "--coils", "1"],
+                "undersample": ["--data", str(dataset)],
+                "train": ["--data", str(undersampled), "--max-steps", "1", "--hidden", "4",
+                          "--disc-width", "2"],
+                "recon": ["--data", str(undersampled), "--run", str(trained)],
+                "zerofill": ["--data", str(undersampled)],
+                "eval": ["--recon", str(recon_dirs[0]), "--truth", str(dataset),
+                         "--n-boot", "50"],
+                "stats": [str(ev / "a.metrics.csv"), str(ev / "b.metrics.csv")],
+                "sweep": ["--data", str(dataset), "--rho-grid", "0.5", "--R-grid", "2",
+                          "--max-steps", "1", "--hidden", "4", "--disc-width", "2",
+                          "--n-boot", "50"]}[command]
+        args = build_parser().parse_args([command, *argv, "--out", str(tmp_path / "out")])
+        handed = []
+
+        def recording(func):
+            def run_recorded(ns):
+                handed.append((func.__name__, Recording(**vars(ns))))
+                return func(handed[-1][1])
+            return run_recorded
+
+        for name in ("cmd_undersample", "cmd_train", "cmd_recon"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        ns = Recording(**vars(args))
+        assert args.func(ns) == 0
+        dests = {action.dest for action in args.parser._actions} - {"help"}
+        assert dests - ns._read == set()
+        assert [name for name, _ in handed] == (
+            ["cmd_undersample", "cmd_train", "cmd_recon"] if command == "sweep" else [])
+        for name, sub in handed:
+            assert set(vars(sub)) - {"_read"} - sub._read == set(), name
 
 
 class TestSweep:
