@@ -355,9 +355,23 @@ def cmd_stats(args):
     return 0
 
 
+def _check_distinct(values, flag):
+    """Usage error naming `flag` when two grid values print alike as `:g`,
+    the form that names a grid point's directory and CSV rows."""
+    seen = {}
+    for v in values:
+        tag = f"{v:g}"
+        if tag in seen:
+            raise argparse.ArgumentError(None, f"argument {flag}: {seen[tag]!r} and {v!r} "
+                                               f"both print as {tag}, one grid point's name")
+        seen[tag] = v
+
+
 def cmd_sweep(args):
     """Train/reconstruct/evaluate over the (R, rho) grid and combine the
     per-slice metrics into one CSV mirroring the split-ratio figure axes."""
+    _check_distinct(args.R_grid, "--R-grid")
+    _check_distinct(args.rho_grid, "--rho-grid")
     _flag_config(args)
     manifest, sens = _load_dataset(args.data)
     _check_R(manifest.cols, args.R_grid, args.center_fraction, "--R-grid")

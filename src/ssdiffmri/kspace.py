@@ -9,6 +9,14 @@ gives every slice of a batch its own. With orthonormal FFT scaling the
 adjoint equals the inverse on a full mask, which keeps the operator tests
 exact. These two functions are the only code that pairs the sensitivities
 with an FFT.
+
+Precision: ``fft2c``, ``ifft2c`` and ``forward_op`` return complex128 for
+complex128 or real float64 input. ``adjoint_op``, and so ``zero_filled``,
+promotes its k-space to complex128 before the FFT and returns complex128, so
+a complex64 measurement and its complex128 upcast give the same bytes.
+``encode`` returns complex64, the precision of a measurement file: the
+masked coil k-space rounded once. ``add_measurement_noise`` returns
+complex128.
 """
 
 from dataclasses import dataclass
@@ -46,14 +54,18 @@ def forward_op(x, sens, cols=None):
 
 
 def adjoint_op(y, sens, cols=None):
-    """A^H: coil k-space (..., coils, H, W) to images (..., H, W).
+    """A^H: coil k-space (..., coils, H, W) to images (..., H, W), complex128
+    whatever the precision of `y`.
 
     The coil sum starts from zero and adds the coils in order, so its
-    rounding matches a sequential per-coil accumulation.
+    rounding matches a sequential per-coil accumulation. The image is
+    allocated before the coil-sized temporaries, so it does not land in
+    their freed blocks once they go.
     """
-    if cols is not None:
-        y = np.where(cols, y, 0)
-    return np.sum(np.conj(sens) * ifft2c(y), axis=-3, initial=0.0)
+    shape = np.broadcast_shapes(np.shape(y), sens.shape, np.shape(cols))
+    image = np.empty(shape[:-3] + shape[-2:], np.complex128)
+    y = np.asarray(y, np.complex128) if cols is None else np.where(cols, y, np.complex128(0))
+    return np.sum(np.conj(sens) * ifft2c(y), axis=-3, initial=0.0, out=image)
 
 
 @dataclass(frozen=True)
@@ -79,11 +91,12 @@ class EncodingOperator:
 
 
 def encode(x, op):
-    """Forward encoding: masked coil k-space of one image or a stack."""
+    """Forward encoding: masked coil k-space of one image or a stack, as a
+    measurement: computed in complex128 and rounded once to complex64."""
     x = np.asarray(x)
     if x.shape[-2:] != (op.rows, op.cols):
         raise ValueError(f"image shape {x.shape} does not match operator")
-    return forward_op(x, op.sens, op.mask.sampled)
+    return forward_op(x, op.sens, op.mask.sampled).astype(np.complex64)
 
 
 def zero_filled(y, op):

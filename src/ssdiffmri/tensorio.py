@@ -2,9 +2,13 @@
 
 Tensors are stored on disk in the "CKSP" container: magic bytes, a
 length-prefixed JSON header, then little-endian interleaved float32
-(re, im) pairs in row-major order. A tensor read back is held at the file's
-precision, complex64; code that computes with it promotes it to complex128
-where it meets complex128 operands.
+(re, im) pairs in row-major order.
+
+Precision: ``read_tensor`` returns complex64, the file's own precision; code
+that computes with it promotes it to complex128 where it meets complex128
+operands. ``generate_phantom`` returns a real float64 image and
+``generate_sensitivities`` complex128 coil maps; ``write_tensor`` rounds
+either to complex64 on the way to disk.
 """
 
 import functools
@@ -173,12 +177,18 @@ def generate_phantom(rows, cols, n_ellipses=8, seed=0):
     The first ellipse is a deterministic centered dome (peak at the image
     center); the remaining ``n_ellipses - 1`` are randomly placed
     constant-amplitude ellipses with signed amplitudes, giving internal
-    structure. Output is real-valued (zero imaginary part).
+    structure. Output is a real float64 image.
 
     Each ellipse is tested only on its bounding box (that of the circle of
     radius ``max(ax, ay)``), with the arithmetic of a test on the whole
     grid, and the ellipses are added in draw order, so every pixel sums
     and rounds as it would with the whole grid.
+
+    The returned image is the copy of the cached dome that the ellipses are
+    added to, allocated first and the only image-sized array of a call: the
+    per-ellipse temporaries are box-sized, so a call frees no image-sized
+    block for the long-lived arrays of a desk set-up (a phantom, its
+    k-space and its zero-filled image per slice) to split.
     """
     if rows < 16 or cols < 16:
         raise ValueError(f"phantom extents must be >= 16, got {rows}x{cols}")
@@ -188,8 +198,7 @@ def generate_phantom(rows, cols, n_ellipses=8, seed=0):
     rng = np.random.default_rng(seed)
     y, x, dome = _phantom_grid(rows, cols)
     hr, hc = (rows - 1) / 2.0, (cols - 1) / 2.0
-    work = dome.astype(np.complex128)
-    img = work.real
+    img = dome.copy()
     for _ in range(n_ellipses - 1):
         # rng.uniform(low, high) is low + (high - low) * rng.random(), and
         # rng.choice of two values draws rng.integers(2): the same stream
@@ -208,12 +217,7 @@ def generate_phantom(rows, cols, n_ellipses=8, seed=0):
         box = img[i0:i1, j0:j1]
         np.add(box, amp, out=box, where=(xr / ax) ** 2 + (yr / ay) ** 2 <= 1.0)
     np.clip(img, 0.0, 1.0, out=img)
-    # A copy made after the working image, so that the working image's
-    # block, freed on return, fits the next image-sized complex array
-    # exactly: a desk set-up, which keeps a phantom, its k-space and its
-    # zero-filled image per slice, then packs them without holes. Returning
-    # `work` itself left about 64 KB of free heap held per two slices.
-    return work.copy()
+    return img
 
 
 def generate_sensitivities(n_coils, rows, cols, seed=0):

@@ -577,6 +577,8 @@ class TestBadInput:
         ("undersample", "--center-fraction", "1"),
         ("sweep", "--R-grid", "2", "0.5"), ("sweep", "--R-grid", "2", "100"),
         ("sweep", "--rho-grid", "0.5", "1.5"), ("sweep", "--rho-grid", "0"),
+        ("sweep", "--rho-grid", "0.3", "0.3"), ("sweep", "--rho-grid", "0.3", "0.3000001"),
+        ("sweep", "--R-grid", "2", "2.0000001"),
         ("sweep", "--center-fraction", "1.5"),
         ("sweep", "--T", "0"), ("sweep", "--stride-k", "30"), ("sweep", "--seed", "-1"),
         ("recon", "--t-start", "1"), ("recon", "--t-start", "-3"),

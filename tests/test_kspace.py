@@ -96,9 +96,9 @@ class TestEncoding:
         op = EncodingOperator(sens, mask, rows, cols)
         rng = np.random.default_rng(0)
         x = _rand_image(rng, rows, cols)
-        np.testing.assert_allclose(encode(x, op)[0], fft2c(x), atol=1e-12)
-        np.testing.assert_allclose(zero_filled(encode(x, op), op), ifft2c(fft2c(x)),
-                                   atol=1e-12)
+        y = forward_op(x, op.sens, op.mask.sampled)
+        np.testing.assert_allclose(y[0], fft2c(x), atol=1e-12)
+        np.testing.assert_allclose(zero_filled(y, op), ifft2c(fft2c(x)), atol=1e-12)
 
     def test_zero_image(self, operator):
         y = encode(np.zeros((32, 32), complex), operator)
@@ -131,9 +131,36 @@ class TestEncoding:
         x = _rand_image(rng, 32, 32)
         z = _rand_image(rng, 32, 32)
         a, b = 1.7 - 0.3j, -0.4 + 2.2j
-        np.testing.assert_allclose(encode(a * x + b * z, operator),
-                                   a * encode(x, operator) + b * encode(z, operator),
-                                   atol=1e-10)
+
+        def A(v):
+            return forward_op(v, operator.sens, operator.mask.sampled)
+
+        np.testing.assert_allclose(A(a * x + b * z), a * A(x) + b * A(z), atol=1e-10)
+
+    def test_encode_is_the_operator_rounded_once_to_complex64(self, operator):
+        rng = np.random.default_rng(7)
+        for x in (_rand_image(rng, 32, 32), generate_phantom(32, 32, 5, seed=7),
+                  _rand_image(rng, 32, 32).astype(np.complex64)):
+            y = encode(x, operator)
+            assert y.dtype == np.complex64
+            exact = forward_op(x, operator.sens, operator.mask.sampled)
+            assert exact.dtype == np.complex128
+            assert y.tobytes() == exact.astype(np.complex64).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(coils=st.integers(1, 4), rows=st.integers(2, 12), cols=st.integers(2, 12),
+           masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_of_complex64_equals_its_upcast(self, coils, rows, cols, masked, seed):
+        # A^H computes in complex128 whatever the k-space precision
+        rng = np.random.default_rng(seed)
+        sens = (rng.standard_normal((coils, rows, cols))
+                + 1j * rng.standard_normal((coils, rows, cols)))
+        y = (rng.standard_normal((coils, rows, cols))
+             + 1j * rng.standard_normal((coils, rows, cols))).astype(np.complex64)
+        mask = rng.random(cols) < 0.5 if masked else None
+        out = adjoint_op(y, sens, mask)
+        assert out.dtype == np.complex128
+        assert out.tobytes() == adjoint_op(y.astype(np.complex128), sens, mask).tobytes()
 
     def test_shape_mismatch(self, operator):
         with pytest.raises(ValueError):
@@ -156,7 +183,8 @@ class TestBatchedOperator:
         ops = [EncodingOperator(sens, m, rows, cols) for m in masks]
         batch_cols = np.stack([m.sampled for m in masks])[:, None, None, :]
         assert np.array_equal(forward_op(x, sens, batch_cols),
-                              np.stack([encode(x[b], op) for b, op in enumerate(ops)]))
+                              np.stack([forward_op(x[b], sens, op.mask.sampled)
+                                        for b, op in enumerate(ops)]))
         assert np.array_equal(adjoint_op(y, sens, batch_cols),
                               np.stack([zero_filled(y[b], op)
                                         for b, op in enumerate(ops)]))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdiffmri.diffusion import make_schedule, sample_yt
-from ssdiffmri.kspace import EncodingOperator, adjoint_op, encode, ifft2c
+from ssdiffmri.kspace import (EncodingOperator, adjoint_op, encode, forward_op, ifft2c,
+                              zero_filled)
 from ssdiffmri.losses import recon_loss_masked
 from ssdiffmri.masks import SamplingMask, make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, ssim
@@ -29,7 +30,8 @@ def make_fixture(rows=32, coils=1, R=4.0, seed=0, n=4):
         ph = generate_phantom(rows, rows, 5, seed=100 + seed + i)
         om = make_random_mask(rows, R, 0.06, seed=200 + seed + i)
         op = EncodingOperator(sens, om, rows, rows)
-        slices.append(SliceData(i, encode(ph, op), om))
+        # the exact operator, unrounded, so the oracle's loss vanishes
+        slices.append(SliceData(i, forward_op(ph, sens, om.sampled), om))
         phantoms.append(ph)
     return sens, slices, phantoms
 
@@ -543,6 +545,34 @@ class TestTrainStep:
         tr = Trainer(den, disc, sens, cfg)
         with pytest.raises(FloatingPointError):
             tr.train_step([slices[0]])
+
+
+class TestMeasurementPrecision:
+    @settings(max_examples=12, deadline=None)
+    @given(dtype=st.sampled_from([np.complex64, np.complex128]),
+           coils=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_measurement_gives_the_outputs_of_its_complex128_upcast(self, dtype, coils,
+                                                                    seed):
+        # each consumer of a measurement promotes it to complex128 first, so
+        # encode's complex64 and its upcast give the same bytes
+        rows = 16
+        sens = generate_sensitivities(coils, rows, rows, seed=seed)
+        om = make_random_mask(rows, 4, 0.1, seed=seed)
+        op = EncodingOperator(sens, om, rows, rows)
+        meas = encode(generate_phantom(rows, rows, 4, seed=seed), op).astype(dtype)
+        wide = meas.astype(np.complex128)
+        assert zero_filled(meas, op).tobytes() == zero_filled(wide, op).tobytes()
+        rng = np.random.default_rng(seed)
+        pred = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+        assert (dc_project(pred, meas, sens, om.sampled).tobytes()
+                == dc_project(pred, wide, sens, om.sampled).tobytes())
+        cfg = small_cfg(hidden=4, t_start=50)
+        den = build_models(cfg)[0]
+        sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
+        a, b = (reconstruct(m, om, sens, den, sched, cfg, seed=seed, allow_untrained=True)
+                for m in (meas, wide))
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.final_kspace.tobytes() == b.final_kspace.tobytes()
 
 
 class _TruthOracle:
