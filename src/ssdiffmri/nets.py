@@ -5,6 +5,13 @@ exact backward passes into flat parameter/gradient/moment arrays, which is
 all the Adam update needs. Gradient correctness is pinned by central
 finite-difference tests.
 
+Both nets take complex (B, H, W) images, as ``kspace``, ``diffusion`` and
+the data-consistency projection do, and the denoiser returns complex128
+images. A gradient with respect to an image, taken or returned, is the
+complex ``dL/dRe + i dL/dIm``. Inside, an image is two channels (real,
+imag), its float64 parts cast to the net's dtype; that layout is private
+to this module.
+
 A cache lives from a caching forward until the net's ``release_caches``,
 which ``Trainer.train_step`` calls for both nets at the end of every step,
 whether it completes or is rolled back. Within that span ``backward`` may
@@ -41,8 +48,10 @@ from . import tensorio
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# discriminator input channels: the sample's and the conditioning's (real, imag)
-DISC_IN_CHANNELS = 4
+# input channels: the denoiser reads the noisy sample (real, imag), the step
+# fraction and the conditioning (real, imag); the discriminator the sample and
+# the conditioning
+_DENOISER_IN, _DISC_IN = 5, 4
 # bytes of im2col a conv forms at a time: one core's L2 on a desk machine
 _BLOCK_BYTES = 2 << 20
 # the buffer `_im2col_blocks` forms its blocks in, one per thread
@@ -119,6 +128,28 @@ def _channel_sum(x, channels):
 def _rows(x):
     """View channels-last (B, H, W, C) `x` as (B*H, W*C): one image row per row."""
     return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
+def _channels(x, dtype):
+    """Complex images (...) as channels-last (..., 2) (real, imag) in `dtype`."""
+    x = np.asarray(x)
+    return np.asarray(np.stack([x.real, x.imag], axis=-1), dtype)
+
+
+def _complex(c):
+    """Channels-last (..., 2) (real, imag) as complex128 images (...)."""
+    c = np.asarray(c, np.float64)
+    return c[..., 0] + 1j * c[..., 1]
+
+
+def _check_pair(x, cond):
+    if np.ndim(x) != 3 or np.shape(cond) != np.shape(x):
+        raise ValueError("images and conditioning must be (B, H, W) arrays of one shape")
+
+
+def _conv_size(cin, cout):
+    """Parameters of a 3x3 conv: its weights and biases."""
+    return 9 * cin * cout + cout
 
 
 def _he_uniform(rng, shape, fan_in):
@@ -341,93 +372,48 @@ def _sigmoid(z):
     return np.minimum(s, np.nextafter(s.dtype.type(1), 0))
 
 
-@dataclass(frozen=True)
-class DenoiserSpec:
-    """Channel chain of the residual reference denoiser.
-
-    ``channels`` runs input -> hidden... -> output; the input covers the
-    noisy sample (2), the step embedding (1), and the conditioning image (2).
-    """
-
-    channels: tuple
-
-    @property
-    def param_count(self):
-        total = 0
-        for cin, cout in zip(self.channels[:-1], self.channels[1:]):
-            total += 9 * cin * cout + cout
-        return total
-
-
-@dataclass(frozen=True)
-class DiscriminatorSpec:
-    """Four 3x3 convolutions (each ReLU + batch norm) and a sigmoid scalar head."""
-
-    width: int
-    n_layers: int = 4
-
-    @property
-    def param_count(self):
-        total = 0
-        cin = DISC_IN_CHANNELS
-        for _ in range(self.n_layers):
-            total += 9 * cin * self.width + self.width
-            total += 2 * self.width  # batch norm gamma/beta
-            cin = self.width
-        return total + self.width + 1  # scalar head
-
-
 class Denoiser:
-    """Residual stack of 3x3 convolutions predicting the clean image.
+    """Residual stack of five 3x3 convolutions, `hidden` channels between
+    them, with ReLUs, predicting the clean image."""
 
-    Inputs and outputs are channels-last: (batch, rows, cols, 2) with the
-    real and imaginary parts as the two channels.
-    """
-
-    def __init__(self, spec, seed=0, dtype=np.float64):
-        self.spec = spec
+    def __init__(self, hidden, seed=0, dtype=np.float64):
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        self.state = ModelState(spec.param_count, dtype)
-        self.convs = [
-            _Conv3x3(self.state, f"conv{i}", cin, cout, rng)
-            for i, (cin, cout) in enumerate(zip(spec.channels[:-1], spec.channels[1:]))
-        ]
+        chain = (_DENOISER_IN,) + (hidden,) * 4 + (2,)
+        pairs = list(zip(chain[:-1], chain[1:]))
+        self.state = ModelState(sum(_conv_size(*p) for p in pairs), dtype)
+        self.convs = [_Conv3x3(self.state, f"conv{i}", cin, cout, rng)
+                      for i, (cin, cout) in enumerate(pairs)]
         self.relus = [_ReLU() for _ in range(len(self.convs) - 1)]
         self._cached = False
 
     def forward(self, y_t, t_frac, cond, keep_cache=False):
-        """Map (noisy sample, step fraction, conditioning) to a clean estimate.
+        """Map (noisy images, step fractions, conditioning images) to clean
+        estimates.
 
-        `t_frac` is a length-B vector of t/T values injected as a constant
-        channel; `cond` has the shape of `y_t`.
+        `y_t` and `cond` are (B, H, W) images; `t_frac` is a length-B vector
+        of t/T values injected as a constant channel.
         """
-        y_t = np.asarray(y_t, dtype=self.dtype)
-        B, H, W, C = y_t.shape
-        if C != 2:
-            raise ValueError("y_t must have 2 trailing channels (real, imag)")
+        _check_pair(y_t, cond)
+        y = _channels(y_t, self.dtype)
+        B, H, W, _ = y.shape
         t_frac = np.asarray(t_frac, dtype=self.dtype).reshape(B, 1, 1, 1)
         tchan = np.broadcast_to(t_frac, (B, H, W, 1))
-        cond = np.asarray(cond, dtype=self.dtype)
-        x = np.concatenate([y_t, tchan, cond], axis=-1)
-        if x.shape[-1] != self.spec.channels[0]:
-            raise ValueError(
-                f"assembled input has {x.shape[-1]} channels, spec wants {self.spec.channels[0]}"
-            )
-        h = x
+        h = np.concatenate([y, tchan, _channels(cond, self.dtype)], axis=-1)
         for i, conv in enumerate(self.convs):
             h = conv.forward(h, keep_cache)
             if i < len(self.relus):
                 h = self.relus[i].forward(h, keep_cache)
         self._cached = keep_cache
-        return h + y_t
+        return _complex(h + y)
 
     def backward(self, upstream):
-        """Accumulate parameter gradients. The input gradient is not formed:
-        nothing upstream of the denoiser has parameters."""
+        """Accumulate parameter gradients from the gradient w.r.t. the
+        output image. The input gradient is not formed: nothing upstream of
+        the denoiser has parameters."""
         if not self._cached:
             raise RuntimeError("denoiser backward without cached forward")
-        g = np.asarray(upstream, dtype=self.dtype)
+        g = _channels(upstream, self.dtype)
         for i in reversed(range(len(self.convs))):
             if i < len(self.relus):
                 g = self.relus[i].backward(g)
@@ -442,36 +428,37 @@ class Denoiser:
 
 
 class Discriminator:
-    """Conv/ReLU/BN stack with a global-average sigmoid head scoring
-    (sample, conditioning) channel pairs."""
+    """Four 3x3 convolutions `width` channels wide, each followed by a ReLU
+    and batch norm, and a global-average sigmoid head scoring (sample,
+    conditioning) image pairs."""
 
-    def __init__(self, spec, seed=0, dtype=np.float64):
-        self.spec = spec
+    def __init__(self, width, seed=0, dtype=np.float64):
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        self.state = ModelState(spec.param_count, dtype)
+        size = (_conv_size(_DISC_IN, width) + 3 * _conv_size(width, width)
+                + 4 * 2 * width + width + 1)  # batch norm gamma/beta, scalar head
+        self.state = ModelState(size, dtype)
         self.convs, self.bns = [], []
-        for i in range(spec.n_layers):
-            cin = DISC_IN_CHANNELS if i == 0 else spec.width
-            self.convs.append(_Conv3x3(self.state, f"conv{i}", cin, spec.width, rng))
-            self.bns.append(_BatchNorm(self.state, f"bn{i}", spec.width))
-        self.relus = [_ReLU() for _ in range(spec.n_layers)]
+        for i in range(4):
+            cin = _DISC_IN if i == 0 else width
+            self.convs.append(_Conv3x3(self.state, f"conv{i}", cin, width, rng))
+            self.bns.append(_BatchNorm(self.state, f"bn{i}", width))
+        self.relus = [_ReLU() for _ in self.convs]
         self.head_w, self.head_dw = self.state.add(
-            "head.w", (spec.width,), _he_uniform(rng, (spec.width,), spec.width))
+            "head.w", (width,), _he_uniform(rng, (width,), width))
         self.head_b, self.head_db = self.state.add("head.b", (1,), 0.0)
         self._cache = None
 
     def forward(self, sample, cond, train=False, update_running=True):
-        """Score each batch element in (0, 1); sample and conditioning are
-        concatenated as channels. The activations are cached for `backward`."""
-        sample = np.asarray(sample, dtype=self.dtype)
-        cond = np.asarray(cond, dtype=self.dtype)
-        if sample.shape != cond.shape:
-            raise ValueError("sample and conditioning shapes must match")
-        x = np.concatenate([sample, cond], axis=-1)
-        if x.shape[-1] != DISC_IN_CHANNELS:
-            raise ValueError(f"got {x.shape[-1]} input channels, need {DISC_IN_CHANNELS}")
-        h = x
+        """Score each (B, H, W) image pair in (0, 1). The activations are
+        cached for `backward`."""
+        _check_pair(sample, cond)
+        return self._score(_channels(sample, self.dtype), _channels(cond, self.dtype),
+                           train, update_running)
+
+    def _score(self, sample, cond, train, update_running):
+        """`forward` on channels-last pairs in the net's dtype."""
+        h = np.concatenate([sample, cond], axis=-1)
         for conv, relu, bn in zip(self.convs, self.relus, self.bns):
             h = conv.forward(h, keep_cache=True)
             h = relu.forward(h, keep_cache=True)
@@ -480,17 +467,22 @@ class Discriminator:
         pooled = np.ones(H * W, h.dtype) @ h.reshape(B, H * W, C) / (H * W)
         z = pooled @ self.head_w + self.head_b[0]
         score = _sigmoid(z)
-        self._cache = (pooled, score, h.shape, sample.shape[-1])
+        self._cache = (pooled, score, h.shape)
         return score
 
     def backward(self, dscore, accumulate=True):
         """Backprop from per-element score gradients. With `accumulate`, add
         the parameter gradients and return None (the first conv skips its
         input gradient); without, return the gradient w.r.t. the sample
-        channels and touch no parameter gradient."""
+        image and touch no parameter gradient."""
+        g = self._backprop(dscore, accumulate)
+        return None if accumulate else _complex(g)
+
+    def _backprop(self, dscore, accumulate):
+        """`backward`, with the input gradient as the sample's channels."""
         if self._cache is None:
             raise RuntimeError("discriminator backward without cached forward")
-        pooled, score, hshape, n_sample = self._cache
+        pooled, score, hshape = self._cache
         dz = np.asarray(dscore, dtype=self.dtype) * score * (1.0 - score)
         if accumulate:
             self.head_dw += pooled.T @ dz
@@ -502,7 +494,7 @@ class Discriminator:
             g = self.bns[i].backward(g, accumulate)
             g = self.relus[i].backward(g)
             g = self.convs[i].backward(g, accumulate, not accumulate or i > 0)
-        return None if accumulate else g[..., :n_sample]
+        return None if accumulate else g[..., :2]
 
     def release_caches(self):
         """Drop every layer's activations and the head's; `backward` raises
@@ -511,27 +503,36 @@ class Discriminator:
             layer._cache = None
         self._cache = None
 
-    def penalty_param_grads(self, sample, cond, input_grads, scale, h=1e-3):
-        """Accumulate d/dtheta of ``scale * 0.5 * sum_b ||input_grads[b]||^2``.
+    def penalty_param_grads(self, sample, cond, scale, h=1e-3):
+        """Accumulate d/dtheta of ``scale * 0.5 * sum_b ||g_b||^2``, with g
+        the input gradient of the scores, and return each element's
+        ``||g_b||^2`` (float64).
 
-        Uses a centered finite difference of the train-mode backward pass
-        along the cached input gradient, which avoids hand-written double
-        backprop. It is not accurate: at the training setting (float32,
-        ``h=1e-3``) its cosine with a float64 reference was 0.80-0.97, from
-        float32 cancellation between the two bumped passes and from ReLU
-        pre-activations that the bump moves across zero. ROADMAP item 1
-        replaces it with the exact forward-over-reverse gradient.
+        The input gradient comes from the cache of the latest forward, which
+        must be the train-mode forward of (`sample`, `cond`); the running
+        statistics are left alone. The parameter gradient is a centered
+        finite difference of the train-mode backward pass along the input
+        gradient, which avoids hand-written double backprop. It is not
+        accurate: at the training setting (float32, ``h=1e-3``) its cosine
+        with a float64 reference was 0.80-0.97, from float32 cancellation
+        between the two bumped passes and from ReLU pre-activations that
+        the bump moves across zero. ROADMAP item 1 replaces it with the
+        exact forward-over-reverse gradient.
         """
-        gnorm = float(np.sqrt(np.mean(input_grads**2)))
-        if gnorm == 0.0:
-            return
-        step = h / gnorm
-        bump = step * input_grads
-        coeff = scale / (2.0 * step)
-        for sgn in (+1.0, -1.0):
-            self.forward(sample + sgn * bump, cond, train=True, update_running=False)
-            self.backward(np.full(len(sample), sgn * coeff, dtype=self.dtype))
+        gi = self._backprop(np.ones(len(sample), self.dtype), accumulate=False)
+        sq_norms = np.sum(np.asarray(gi, np.float64) ** 2, axis=(1, 2, 3))
+        gnorm = float(np.sqrt(np.mean(gi**2)))
+        if gnorm > 0.0:
+            step = h / gnorm
+            bump = step * gi
+            coeff = scale / (2.0 * step)
+            s, c = _channels(sample, np.float64), _channels(cond, self.dtype)
+            for sgn in (+1.0, -1.0):
+                self._score(np.asarray(s + sgn * bump, self.dtype), c, train=True,
+                            update_running=False)
+                self.backward(np.full(len(sample), sgn * coeff, dtype=self.dtype))
         self._cache = None
+        return sq_norms
 
 
 def adam_step(state, lr):

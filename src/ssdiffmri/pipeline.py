@@ -20,23 +20,18 @@ import numpy as np
 
 from .diffusion import (loss_weight, make_schedule, posterior_coefficients,
                         posterior_params_strided, sample_forward_jump, sample_yt)
-from .kspace import EncodingOperator, adjoint_op, forward_op, zero_filled
+from .kspace import adjoint_op, forward_op
 from .losses import LossReport, disc_loss, gen_loss, total_loss
 from .masks import partition_mask
 from .metrics import nmse, psnr, ssim
-from .nets import Denoiser, DenoiserSpec, Discriminator, DiscriminatorSpec, adam_step
+from .nets import Denoiser, Discriminator, adam_step
 from .stats import MetricReport
 
 
-def complex_to_channels(x):
-    """(..., H, W) complex -> (..., H, W, 2) float channels."""
-    x = np.asarray(x)
-    return np.stack([x.real, x.imag], axis=-1)
-
-
-def channels_to_complex(c):
-    c = np.asarray(c)
-    return c[..., 0] + 1j * c[..., 1]
+def complex_normal(rng, shape):
+    """Standard complex Gaussian noise: the real parts drawn from `rng`
+    before the imaginary ones."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass
@@ -151,12 +146,9 @@ class ReconResult:
 
 
 def build_models(cfg):
-    # denoiser input: noisy sample (2), step (1), zero-filled conditioning (2)
-    den_spec = DenoiserSpec(channels=(5,) + (cfg.hidden,) * 4 + (2,))
-    disc_spec = DiscriminatorSpec(width=cfg.disc_width)
     dtype = cfg.np_dtype()
-    return (Denoiser(den_spec, seed=cfg.seed, dtype=dtype),
-            Discriminator(disc_spec, seed=cfg.seed + 1, dtype=dtype))
+    return (Denoiser(cfg.hidden, seed=cfg.seed, dtype=dtype),
+            Discriminator(cfg.disc_width, seed=cfg.seed + 1, dtype=dtype))
 
 
 def dc_project_kspace(pred_img, measured_ks, sens, cols):
@@ -192,12 +184,10 @@ def dc_backward(grad_img, sens, cols):
 
 def predict_clean(model, y, t_frac, cond, measured_ks, sens, cols, keep_cache=False):
     """The generator: the model's clean image from noisy images `y` (B, H, W)
-    at step fractions `t_frac` given images `cond`, in float64, projected onto
+    at step fractions `t_frac` given images `cond`, projected onto
     `measured_ks` (B, coils, H, W) at the train or acquired columns `cols`."""
-    pred = model.forward(complex_to_channels(y), t_frac, complex_to_channels(cond),
-                         keep_cache=keep_cache)
-    return dc_project(channels_to_complex(np.asarray(pred, np.float64)), measured_ks,
-                      sens, cols)
+    pred = model.forward(y, t_frac, cond, keep_cache=keep_cache)
+    return dc_project(pred, measured_ks, sens, cols)
 
 
 def recon_loss_and_grad(y0_pred, measured_ks, sens, loss_cols, t, sched):
@@ -294,10 +284,9 @@ class Trainer:
             parts.append(partition_mask(item.acquired, self.cfg.rho,
                                         seed=int(rng.integers(2**31))))
             t.append(grid[rng.integers(len(grid))])
-            eps.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            eps2.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            rng = self._rng(2, item.slice_id, step)
-            z.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            eps.append(complex_normal(rng, shape))
+            eps2.append(complex_normal(rng, shape))
+            z.append(complex_normal(self._rng(2, item.slice_id, step), shape))
         train_cols, loss_cols = (np.stack(cols)[:, None, None, :] for cols in zip(*parts))
         return StepDraws(train_cols, loss_cols, np.array(t)[:, None, None],
                          *map(np.stack, (eps, eps2, z)))
@@ -305,7 +294,7 @@ class Trainer:
     def _generate(self, batch, kspace, draws, step):
         """Noise the train-column image to y_t and y_{t+k}, predict from y_t
         and draw the fake from the posterior at y_{t+k}. Returns y_t, the
-        fake and y_{t+k} as the discriminator's channels, and the prediction."""
+        fake, y_{t+k} and the prediction."""
         cfg, sched, sens = self.cfg, self.sched, self.sens
         t, tk = draws.t, draws.t + cfg.stride_k
         y0_in = adjoint_op(kspace, sens, draws.train_cols)
@@ -318,8 +307,7 @@ class Trainer:
                 f"non-finite generator output at step {step} "
                 f"(slices {[b.slice_id for b in batch]})")
         mu, var = posterior_params_strided(y_tk, y0_pred, tk, t, sched)
-        return (complex_to_channels(y_t), complex_to_channels(mu + np.sqrt(var) * draws.z),
-                complex_to_channels(y_tk), y0_pred)
+        return y_t, mu + np.sqrt(var) * draws.z, y_tk, y0_pred
 
     def _disc_phase(self, real, fake, cond):
         """Adam step of the discriminator on the real pair, the fake pair and
@@ -331,9 +319,7 @@ class Trainer:
         disc.backward(1.0 / (B * np.clip(1.0 - d_fake, 1e-12, None)))
         # the penalty's input gradient reuses the d_fake forward cache: the
         # parameters, the batch and the train-mode BN statistics are the same
-        gi = disc.backward(np.ones(B, disc.dtype), accumulate=False)
-        pen = np.sum(np.asarray(gi, np.float64) ** 2, axis=(1, 2, 3))
-        disc.penalty_param_grads(fake, cond, gi, scale=1.0 / B)
+        pen = disc.penalty_param_grads(fake, cond, scale=1.0 / B)
         l_d = disc_loss(d_real, d_fake, pen)
         adam_step(disc.state, self.cfg.lr)
         return l_d
@@ -351,8 +337,8 @@ class Trainer:
                                            draws.t, sched)
         _, w_y0, denom, _ = posterior_coefficients(draws.t + cfg.stride_k, draws.t, sched)
         c_pred = w_y0 / denom  # d mu / d y0
-        g_y0 = g_rec / B + c_pred * channels_to_complex(np.asarray(g_adv, np.float64))
-        self.denoiser.backward(complex_to_channels(dc_backward(g_y0, sens, draws.train_cols)))
+        g_y0 = g_rec / B + c_pred * g_adv
+        self.denoiser.backward(dc_backward(g_y0, sens, draws.train_cols))
         adam_step(self.denoiser.state, cfg.lr)
         return float(np.sum(l_rec)) / B, l_g
 
@@ -393,10 +379,9 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
                            "to sample from an untrained model")
     t0 = time.perf_counter()
     sens = np.asarray(sens, dtype=np.complex128)
-    zf = zero_filled(measured_ks, EncodingOperator(sens, acquired, *sens.shape[1:]))
+    zf = adjoint_op(measured_ks, sens, acquired.sampled)
     rng = np.random.default_rng([seed & 0x7FFFFFFF, 4])
-    std = np.sqrt(cfg.init_noise_var)
-    y = zf + std * (rng.standard_normal(zf.shape) + 1j * rng.standard_normal(zf.shape))
+    y = zf + np.sqrt(cfg.init_noise_var) * complex_normal(rng, zf.shape)
     ts = range(cfg.inference_start, 1, -cfg.stride_k)
     grid = list(zip(ts, [*ts[1:], 0]))
     for t, s in grid:
@@ -406,8 +391,7 @@ def reconstruct(measured_ks, acquired, sens, model, sched, cfg, seed=0,
             y = y0_hat
         else:
             mu, var = posterior_params_strided(y, y0_hat, t, s, sched)
-            z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-            y = mu + np.sqrt(var) * z
+            y = mu + np.sqrt(var) * complex_normal(rng, y.shape)
             if not np.all(np.isfinite(y)):
                 raise FloatingPointError(f"non-finite sampler state at step {t}")
 

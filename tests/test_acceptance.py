@@ -9,12 +9,12 @@ import pytest
 
 from ssdiffmri.diffusion import (forward_step, make_schedule, posterior_params,
                                  posterior_params_strided)
-from ssdiffmri.kspace import EncodingOperator, encode, fft2c
+from ssdiffmri.kspace import EncodingOperator, encode, fft2c, zero_filled
 from ssdiffmri.masks import make_random_mask, partition_mask
 from ssdiffmri.metrics import nmse, psnr, ssim
-from ssdiffmri.nets import Denoiser, DenoiserSpec, Discriminator, DiscriminatorSpec
+from ssdiffmri.nets import Denoiser, Discriminator
 from ssdiffmri.pipeline import (SliceData, TrainConfig, Trainer, build_models,
-                                dc_project, reconstruct, zero_filled)
+                                dc_project, reconstruct)
 from ssdiffmri.stats import anova_oneway, bootstrap_ci, studentized_range_sf, tukey_hsd
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
 
@@ -127,26 +127,29 @@ def test_criterion_3_gradient_contract():
             errs.append(abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-8))
         return max(errs)
 
-    den = Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=1)
+    def cplx(x):
+        return x[..., 0] + 1j * x[..., 1]
+
+    den = Denoiser(6, seed=1)
     assert den.state.params.size <= 5000
-    y = rng.standard_normal((B, H, W, 2))
-    cond = rng.standard_normal((B, H, W, 2))
+    y = cplx(rng.standard_normal((B, H, W, 2)))
+    cond = cplx(rng.standard_normal((B, H, W, 2)))
     tfrac = np.array([0.3, 0.7])
-    target = rng.standard_normal((B, H, W, 2))
+    target = cplx(rng.standard_normal((B, H, W, 2)))
 
     def den_loss():
         out = den.forward(y, tfrac, cond)
-        return 0.5 * float(np.sum((out - target) ** 2))
+        return 0.5 * float(np.sum(np.abs(out - target) ** 2))
 
     out = den.forward(y, tfrac, cond, keep_cache=True)
     den.state.zero_grads()
     den.backward(out - target)
     err_den = probe(den.state, den_loss, den.state.grads.copy(), 20)
 
-    disc = Discriminator(DiscriminatorSpec(width=6), seed=2)
+    disc = Discriminator(6, seed=2)
     assert disc.state.params.size <= 5000
-    s = rng.standard_normal((B, H, W, 2))
-    c = rng.standard_normal((B, H, W, 2))
+    s = cplx(rng.standard_normal((B, H, W, 2)))
+    c = cplx(rng.standard_normal((B, H, W, 2)))
 
     def disc_loss_fn():
         sc = disc.forward(s, c, train=True, update_running=False)
@@ -159,9 +162,9 @@ def test_criterion_3_gradient_contract():
 
     # input gradient (the penalty path), eval mode for a per-sample function
     disc.forward(s, c, train=False)
-    g_in = disc.backward(np.ones(B), accumulate=False)
+    g_in = disc.backward(np.ones(B), accumulate=False).view(np.float64)
     errs = []
-    flat = s.ravel()
+    flat = s.view(np.float64).ravel()  # (real, imag) of each pixel in turn
     h = 1e-5
     for i in rng.choice(flat.size, 20, replace=False):
         p0 = flat[i]
@@ -311,7 +314,7 @@ def test_criterion_7_information_hiding():
 
     def one_step(ks):
         den, disc = build_models(cfg)
-        rec = Recorder(den.spec, seed=cfg.seed, dtype=np.float64)
+        rec = Recorder(cfg.hidden, seed=cfg.seed, dtype=np.float64)
         rec.state = den.state
         rec.convs = den.convs
         rec.relus = den.relus

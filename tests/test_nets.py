@@ -5,10 +5,14 @@ import pytest
 
 from ssdiffmri import tensorio
 from ssdiffmri.losses import disc_loss, gen_loss
-from ssdiffmri.nets import (BN_EPS, Denoiser, DenoiserSpec, Discriminator,
-                            DiscriminatorSpec, ModelState, _BatchNorm,
+from ssdiffmri.nets import (BN_EPS, Denoiser, Discriminator, ModelState, _BatchNorm,
                             _channel_sum, _Conv3x3, _im2col_blocks, _pad, adam_step,
                             load_checkpoint, load_state, save_checkpoint, save_state)
+
+
+def cplx(x):
+    """Complex images from draws of their (real, imag) parts in the last axis."""
+    return x[..., 0] + 1j * x[..., 1]
 
 
 def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
@@ -28,7 +32,7 @@ def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
 
 
 def input_grad(disc, sample, cond, train=False):
-    """Gradient of the summed scores w.r.t. the sample channels, from a
+    """Gradient of the summed scores w.r.t. the sample image, from a
     forward that leaves the running statistics alone."""
     disc.forward(sample, cond, train=train, update_running=False)
     return disc.backward(np.ones(len(sample)), accumulate=False)
@@ -36,37 +40,38 @@ def input_grad(disc, sample, cond, train=False):
 
 @pytest.fixture
 def tiny_denoiser():
-    return Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=1)
+    return Denoiser(6, seed=1)
 
 
 @pytest.fixture
 def tiny_disc():
-    return Discriminator(DiscriminatorSpec(width=6), seed=2)
+    return Discriminator(6, seed=2)
 
 
 class TestSpecs:
     def test_denoiser_param_count(self):
-        spec = DenoiserSpec(channels=(5, 8, 2))
-        # 9*5*8 + 8 + 9*8*2 + 2
-        assert spec.param_count == 360 + 8 + 144 + 2
-        den = Denoiser(spec, seed=0)
-        assert den.state.blocks[-1].stop == den.state.params.size == spec.param_count
+        den = Denoiser(8, seed=0)
+        # convs 5 -> 8, three 8 -> 8 and 8 -> 2, each 9*cin*cout + cout
+        assert den.state.blocks[-1].stop == den.state.params.size == (
+            (360 + 8) + 3 * (576 + 8) + (144 + 2))
 
     def test_discriminator_param_count(self):
-        spec = DiscriminatorSpec(width=6)
-        disc = Discriminator(spec, seed=0)
-        assert disc.state.blocks[-1].stop == disc.state.params.size == spec.param_count
+        disc = Discriminator(6, seed=0)
+        # convs 4 -> 6 and three 6 -> 6, four batch norms, the head
+        assert disc.state.blocks[-1].stop == disc.state.params.size == (
+            (216 + 6) + 3 * (324 + 6) + 4 * 12 + 6 + 1)
 
     def test_blocks_tile_the_flat_arrays_in_layer_order(self):
-        disc = Discriminator(DiscriminatorSpec(width=3, n_layers=2), seed=0)
+        disc = Discriminator(3, seed=0)
         names = [b.name for b in disc.state.blocks]
-        assert names == ["conv0.w", "conv0.b", "bn0.gamma", "bn0.beta",
-                         "conv1.w", "conv1.b", "bn1.gamma", "bn1.beta",
-                         "head.w", "head.b"]
+        assert names == [f"{layer}{i}.{p}" for i in range(4)
+                         for layer, p in (("conv", "w"), ("conv", "b"),
+                                          ("bn", "gamma"), ("bn", "beta"))
+                         ] + ["head.w", "head.b"]
         assert [b.start for b in disc.state.blocks[1:]] == [
             b.stop for b in disc.state.blocks[:-1]]
-        assert list(disc.state.buffers) == ["bn0.run_mean", "bn0.run_var",
-                                            "bn1.run_mean", "bn1.run_var"]
+        assert list(disc.state.buffers) == [f"bn{i}.{b}" for i in range(4)
+                                            for b in ("run_mean", "run_var")]
 
     def test_layer_views_share_the_flat_arrays(self, tiny_disc):
         conv, bn = tiny_disc.convs[1], tiny_disc.bns[1]
@@ -81,14 +86,14 @@ class TestDenoiser:
     def test_residual_identity_at_zero_weights(self, tiny_denoiser):
         rng = np.random.default_rng(1)
         tiny_denoiser.state.params[:] = 0.0
-        y = rng.standard_normal((2, 8, 8, 2))
+        y = cplx(rng.standard_normal((2, 8, 8, 2)))
         out = tiny_denoiser.forward(y, np.array([0.1, 0.9]), np.zeros_like(y))
         np.testing.assert_array_equal(out, y)
 
     def test_eval_determinism(self, tiny_denoiser):
         rng = np.random.default_rng(2)
-        y = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
+        y = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
         t = np.array([0.2, 0.4])
         a = tiny_denoiser.forward(y, t, c)
         b = tiny_denoiser.forward(y, t, c)
@@ -97,21 +102,21 @@ class TestDenoiser:
     @pytest.mark.parametrize("size", [32, 64])
     def test_output_shape(self, tiny_denoiser, size):
         rng = np.random.default_rng(3)
-        y = rng.standard_normal((1, size, size, 2))
+        y = cplx(rng.standard_normal((1, size, size, 2)))
         out = tiny_denoiser.forward(y, np.array([0.5]), np.zeros_like(y))
-        assert out.shape == (1, size, size, 2)
+        assert out.shape == (1, size, size)
 
     def test_param_gradients_match_fd(self, tiny_denoiser):
         rng = np.random.default_rng(4)
         den = tiny_denoiser
-        y = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
+        y = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
         t = np.array([0.3, 0.7])
-        target = rng.standard_normal((2, 8, 8, 2))
+        target = cplx(rng.standard_normal((2, 8, 8, 2)))
 
         def loss():
             out = den.forward(y, t, c)
-            return 0.5 * float(np.sum((out - target) ** 2))
+            return 0.5 * float(np.sum(np.abs(out - target) ** 2))
 
         out = den.forward(y, t, c, keep_cache=True)
         den.state.zero_grads()
@@ -123,18 +128,18 @@ class TestDenoiser:
     def test_zero_upstream_zero_grads(self, tiny_denoiser):
         rng = np.random.default_rng(5)
         den = tiny_denoiser
-        y = rng.standard_normal((1, 8, 8, 2))
+        y = cplx(rng.standard_normal((1, 8, 8, 2)))
         den.forward(y, np.array([0.5]), np.zeros_like(y), keep_cache=True)
         den.state.zero_grads()
-        den.backward(np.zeros((1, 8, 8, 2)))
+        den.backward(np.zeros((1, 8, 8), complex))
         assert np.all(den.state.grads == 0)
 
     def test_backward_linearity(self, tiny_denoiser):
         rng = np.random.default_rng(6)
         den = tiny_denoiser
-        y = rng.standard_normal((1, 8, 8, 2))
-        g1 = rng.standard_normal((1, 8, 8, 2))
-        g2 = rng.standard_normal((1, 8, 8, 2))
+        y = cplx(rng.standard_normal((1, 8, 8, 2)))
+        g1 = cplx(rng.standard_normal((1, 8, 8, 2)))
+        g2 = cplx(rng.standard_normal((1, 8, 8, 2)))
         den.forward(y, np.array([0.5]), np.zeros_like(y), keep_cache=True)
         den.state.zero_grads()
         den.backward(g1)
@@ -151,9 +156,9 @@ class TestDenoiser:
         # first conv forms only its parameter gradients
         rng = np.random.default_rng(19)
         den = tiny_denoiser
-        y = rng.standard_normal((2, 8, 8, 2))
+        y = cplx(rng.standard_normal((2, 8, 8, 2)))
         den.forward(y, np.array([0.2, 0.6]), np.zeros_like(y), keep_cache=True)
-        assert den.backward(rng.standard_normal((2, 8, 8, 2))) is None
+        assert den.backward(cplx(rng.standard_normal((2, 8, 8, 2)))) is None
         conv0 = den.convs[0]
         g = rng.standard_normal((2, 8, 8, conv0.cout))
         den.state.zero_grads()
@@ -165,41 +170,44 @@ class TestDenoiser:
 
     def test_backward_without_forward_raises(self, tiny_denoiser):
         with pytest.raises(RuntimeError):
-            tiny_denoiser.backward(np.zeros((1, 8, 8, 2)))
+            tiny_denoiser.backward(np.zeros((1, 8, 8), complex))
 
     def test_channel_mismatch_rejected(self, tiny_denoiser):
+        # images go in as (B, H, W) arrays, not as channels
         with pytest.raises(ValueError):
-            tiny_denoiser.forward(np.zeros((1, 8, 8, 3)), np.array([0.5]), np.zeros((1, 8, 8, 3)))
+            tiny_denoiser.forward(np.zeros((1, 8, 8, 2)), np.array([0.5]), np.zeros((1, 8, 8, 2)))
+        with pytest.raises(ValueError):
+            tiny_denoiser.forward(np.zeros((1, 8, 8)), np.array([0.5]), np.zeros((1, 8, 9)))
 
 
 class TestDiscriminator:
     def test_zero_weights_score_half(self, tiny_disc):
         rng = np.random.default_rng(7)
         tiny_disc.state.params[:] = 0.0
-        s = rng.standard_normal((3, 8, 8, 2))
-        c = rng.standard_normal((3, 8, 8, 2))
+        s = cplx(rng.standard_normal((3, 8, 8, 2)))
+        c = cplx(rng.standard_normal((3, 8, 8, 2)))
         np.testing.assert_array_equal(tiny_disc.forward(s, c), 0.5)
 
     def test_scores_strictly_inside_unit_interval(self, tiny_disc):
         rng = np.random.default_rng(8)
         for trial in range(5):
-            s = 10 * rng.standard_normal((2, 8, 8, 2))
-            c = 10 * rng.standard_normal((2, 8, 8, 2))
+            s = cplx(10 * rng.standard_normal((2, 8, 8, 2)))
+            c = cplx(10 * rng.standard_normal((2, 8, 8, 2)))
             scores = tiny_disc.forward(s, c, train=trial % 2 == 0,
                                        update_running=False)
             assert np.all(scores > 0) and np.all(scores < 1)
 
     def test_eval_determinism(self, tiny_disc):
         rng = np.random.default_rng(9)
-        s = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
         assert np.array_equal(tiny_disc.forward(s, c), tiny_disc.forward(s, c))
 
     def test_param_gradients_match_fd_train_mode(self, tiny_disc):
         rng = np.random.default_rng(10)
         disc = tiny_disc
-        s = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
 
         def loss():
             sc = disc.forward(s, c, train=True, update_running=False)
@@ -217,12 +225,12 @@ class TestDiscriminator:
         # eval mode: frozen normalization makes the scores a per-sample
         # function, so coordinate-wise finite differences are well posed
         disc = tiny_disc
-        s = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
-        g = input_grad(disc, s, c, train=False)
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
+        g = input_grad(disc, s, c, train=False).view(np.float64).ravel()
         h = 1e-5
         errs = []
-        flat = s.ravel()
+        flat = s.view(np.float64).ravel()  # (real, imag) of each pixel in turn
         for i in rng.choice(flat.size, 25, replace=False):
             p0 = flat[i]
             flat[i] = p0 + h
@@ -231,24 +239,24 @@ class TestDiscriminator:
             lm = float(np.sum(disc.forward(s, c)))
             flat[i] = p0
             fd = (lp - lm) / (2 * h)
-            errs.append(abs(fd - g.ravel()[i]) / max(abs(fd), abs(g.ravel()[i]), 1e-8))
+            errs.append(abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8))
         assert max(errs) < 1e-3
 
     def test_input_grad_zero_for_constant_disc(self, tiny_disc):
         rng = np.random.default_rng(12)
         tiny_disc.state.params[:] = 0.0
-        s = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
         g = input_grad(tiny_disc, s, s.copy())
         assert np.all(g == 0)
 
     def test_input_grad_shape(self, tiny_disc):
         rng = np.random.default_rng(13)
-        s = rng.standard_normal((3, 8, 8, 2))
+        s = cplx(rng.standard_normal((3, 8, 8, 2)))
         assert input_grad(tiny_disc, s, s.copy()).shape == s.shape
 
     def test_input_grad_leaves_param_grads_alone(self, tiny_disc):
         rng = np.random.default_rng(14)
-        s = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
         tiny_disc.state.zero_grads()
         input_grad(tiny_disc, s, s.copy(), train=True)
         assert np.all(tiny_disc.state.grads == 0)
@@ -257,8 +265,8 @@ class TestDiscriminator:
         # the train step takes the penalty's input gradient from the cache
         # of the fake-pair forward and backward instead of a fresh forward
         rng = np.random.default_rng(5)
-        s = rng.standard_normal((3, 8, 8, 2))
-        c = rng.standard_normal((3, 8, 8, 2))
+        s = cplx(rng.standard_normal((3, 8, 8, 2)))
+        c = cplx(rng.standard_normal((3, 8, 8, 2)))
         tiny_disc.forward(s, c, train=True)
         tiny_disc.backward(rng.standard_normal(3))
         cached = tiny_disc.backward(np.ones(3), accumulate=False)
@@ -269,8 +277,8 @@ class TestDiscriminator:
         # accumulating adds parameter gradients and returns nothing; the
         # other mode returns the sample channels' gradient and adds none
         rng = np.random.default_rng(6)
-        s = rng.standard_normal((3, 8, 8, 2))
-        c = rng.standard_normal((3, 8, 8, 2))
+        s = cplx(rng.standard_normal((3, 8, 8, 2)))
+        c = cplx(rng.standard_normal((3, 8, 8, 2)))
         dscore = rng.standard_normal(3)
         tiny_disc.state.zero_grads()
         tiny_disc.forward(s, c, train=train, update_running=False)
@@ -284,9 +292,9 @@ class TestDiscriminator:
     def test_float32_score_stays_below_one(self):
         # float32 rounds the sigmoid of a logit >= 17 to exactly 1, which
         # the losses refuse: the score stops at the largest float32 below 1
-        disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=np.float32)
+        disc = Discriminator(6, seed=2, dtype=np.float32)
         disc.head_b[0] = 20.0
-        s = np.random.default_rng(21).standard_normal((2, 8, 8, 2))
+        s = cplx(np.random.default_rng(21).standard_normal((2, 8, 8, 2)))
         for train in (True, False):
             scores = disc.forward(s, s.copy(), train=train, update_running=False)
             assert scores.dtype == np.float32 and np.all(scores < 1)
@@ -295,23 +303,36 @@ class TestDiscriminator:
     def test_penalty_param_grads_match_fd(self, tiny_disc):
         rng = np.random.default_rng(15)
         disc = tiny_disc
-        s = rng.standard_normal((2, 8, 8, 2))
-        c = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
 
         def penalty():
             g = input_grad(disc, s, c, train=True)
-            return 0.5 * float(np.sum(g**2))
+            return 0.5 * float(np.sum(np.abs(g) ** 2))
 
         disc.state.zero_grads()
-        gi = input_grad(disc, s, c, train=True)
-        disc.penalty_param_grads(s, c, gi, scale=1.0, h=1e-4)
+        disc.forward(s, c, train=True, update_running=False)
+        disc.penalty_param_grads(s, c, scale=1.0, h=1e-4)
         grads = disc.state.grads.copy()
         err = fd_param_check(disc.state, penalty, grads, rng, n_probe=12, h=1e-5)
         assert err < 1e-2  # finite-difference-of-backward approximation
 
+    def test_penalty_returns_the_squared_input_gradient_norms(self, tiny_disc):
+        rng = np.random.default_rng(27)
+        s = cplx(rng.standard_normal((3, 8, 8, 2)))
+        c = cplx(rng.standard_normal((3, 8, 8, 2)))
+        tiny_disc.forward(s, c, train=True)
+        g = tiny_disc.backward(np.ones(3), accumulate=False)
+        before = {k: v.copy() for k, v in tiny_disc.state.buffers.items()}
+        sq_norms = tiny_disc.penalty_param_grads(s, c, scale=1.0)
+        assert sq_norms.shape == (3,) and sq_norms.dtype == np.float64
+        np.testing.assert_allclose(sq_norms, np.sum(np.abs(g) ** 2, axis=(1, 2)), rtol=1e-12)
+        for k, v in before.items():
+            assert np.array_equal(tiny_disc.state.buffers[k], v)
+
     def test_running_stats_update_only_when_asked(self, tiny_disc):
         rng = np.random.default_rng(16)
-        s = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
         before = {k: v.copy() for k, v in tiny_disc.state.buffers.items()}
         tiny_disc.forward(s, s.copy(), train=True, update_running=False)
         for k in before:
@@ -526,7 +547,7 @@ class TestBlockedConv:
 
 class TestAdam:
     def test_first_step_bias_corrected(self):
-        den = Denoiser(DenoiserSpec(channels=(5, 2, 2)), seed=0)
+        den = Denoiser(2, seed=0)
         den.state.params[:] = 1.0
         den.state.grads[:] = 1.0
         adam_step(den.state, lr=0.1)
@@ -535,7 +556,7 @@ class TestAdam:
         assert den.state.step == 1
 
     def test_zero_gradient_no_move(self):
-        den = Denoiser(DenoiserSpec(channels=(5, 2, 2)), seed=3)
+        den = Denoiser(2, seed=3)
         before = den.state.params.copy()
         den.state.grads[:] = 0.0
         adam_step(den.state, 2e-4)
@@ -543,8 +564,8 @@ class TestAdam:
 
     def test_deterministic_updates(self):
         rng = np.random.default_rng(17)
-        a = Denoiser(DenoiserSpec(channels=(5, 4, 2)), seed=7)
-        b = Denoiser(DenoiserSpec(channels=(5, 4, 2)), seed=7)
+        a = Denoiser(4, seed=7)
+        b = Denoiser(4, seed=7)
         g = rng.standard_normal(a.state.params.size)
         a.state.grads[:] = g
         b.state.grads[:] = g
@@ -553,7 +574,7 @@ class TestAdam:
         assert np.array_equal(a.state.params, b.state.params)
 
     def test_nonfinite_gradient_names_block(self):
-        den = Denoiser(DenoiserSpec(channels=(5, 4, 2)), seed=0)
+        den = Denoiser(4, seed=0)
         blk = den.state.blocks[2]
         den.state.grads[blk.start] = np.nan
         with pytest.raises(FloatingPointError, match=blk.name):
@@ -564,14 +585,14 @@ class TestCheckpoint:
     def test_round_trip_exact_at_training_dtype(self, tmp_path):
         rng = np.random.default_rng(18)
         # float32 states round-trip bit-exactly through the c64 container
-        disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=np.float32)
-        s = rng.standard_normal((2, 8, 8, 2)).astype(np.float32)
+        disc = Discriminator(6, seed=2, dtype=np.float32)
+        s = cplx(rng.standard_normal((2, 8, 8, 2)).astype(np.float32))
         disc.forward(s, s.copy(), train=True)
         disc.backward(np.ones(2, np.float32))
         adam_step(disc.state, lr=1e-3)
         save_state(disc.state, tmp_path, "disc")
 
-        other = Discriminator(DiscriminatorSpec(width=6), seed=99, dtype=np.float32)
+        other = Discriminator(6, seed=99, dtype=np.float32)
         load_state(other.state, tmp_path, "disc")
         assert np.array_equal(other.state.params, disc.state.params)
         assert np.array_equal(other.state.m, disc.state.m)
@@ -582,17 +603,17 @@ class TestCheckpoint:
     def test_round_trip_float64_within_storage_precision(self, tmp_path, tiny_disc):
         disc = tiny_disc
         save_state(disc.state, tmp_path, "disc")
-        other = Discriminator(DiscriminatorSpec(width=6), seed=99)
+        other = Discriminator(6, seed=99)
         load_state(other.state, tmp_path, "disc")
         np.testing.assert_allclose(other.state.params, disc.state.params, atol=1e-6)
 
     def test_loaded_state_drives_the_layers(self, tmp_path, tiny_disc):
-        s = np.random.default_rng(6).standard_normal((2, 8, 8, 2))
+        s = cplx(np.random.default_rng(6).standard_normal((2, 8, 8, 2)))
         tiny_disc.forward(s, s.copy(), train=True)
         tiny_disc.backward(np.ones(2))
         adam_step(tiny_disc.state, lr=1e-2)
         save_state(tiny_disc.state, tmp_path, "disc")
-        other = Discriminator(DiscriminatorSpec(width=6), seed=99)
+        other = Discriminator(6, seed=99)
         load_state(other.state, tmp_path, "disc")
         np.testing.assert_allclose(other.forward(s, s.copy()),
                                    tiny_disc.forward(s, s.copy()), atol=1e-5)
@@ -628,16 +649,16 @@ class TestCheckpoint:
         n_files = sum(3 * len(st.blocks) + len(st.buffers) + 1
                       for st in (tiny_denoiser.state, tiny_disc.state))
         assert len(os.listdir(tmp_path / "ckpt")) == n_files
-        den = Denoiser(DenoiserSpec(channels=(5, 6, 6, 2)), seed=50)
-        disc = Discriminator(DiscriminatorSpec(width=6), seed=51)
+        den = Denoiser(6, seed=50)
+        disc = Discriminator(6, seed=51)
         load_checkpoint(tmp_path / "ckpt", den.state, disc.state)
         assert den.state.step == disc.state.step == 3
         np.testing.assert_allclose(den.state.params, tiny_denoiser.state.params, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_files_match_a_save_through_complex128(self, tmp_path, monkeypatch, dtype):
-        disc = Discriminator(DiscriminatorSpec(width=6), seed=2, dtype=dtype)
-        s = np.random.default_rng(4).standard_normal((2, 8, 8, 2)).astype(dtype)
+        disc = Discriminator(6, seed=2, dtype=dtype)
+        s = cplx(np.random.default_rng(4).standard_normal((2, 8, 8, 2)).astype(dtype))
         disc.forward(s, s.copy(), train=True)
         disc.backward(np.ones(2, dtype))
         adam_step(disc.state, lr=1e-3)
@@ -657,7 +678,7 @@ class TestSnapshot:
     def test_restore_returns_every_array_and_keeps_layer_views(self, tiny_disc):
         state = tiny_disc.state
         rng = np.random.default_rng(20)
-        s = rng.standard_normal((2, 8, 8, 2))
+        s = cplx(rng.standard_normal((2, 8, 8, 2)))
         snap = state.snapshot()
         copies = [a.copy() for a in (state.params, state.m, state.v)]
         buffers = {k: v.copy() for k, v in state.buffers.items()}

@@ -16,8 +16,7 @@ from ssdiffmri.metrics import nmse, ssim
 from ssdiffmri import pipeline
 from ssdiffmri.nets import Denoiser
 from ssdiffmri.pipeline import (ReconResult, SliceData, TrainConfig, Trainer,
-                                build_models, channels_to_complex,
-                                complex_to_channels, dc_backward, dc_project,
+                                build_models, dc_backward, dc_project,
                                 dc_project_kspace, evaluate_run,
                                 recon_loss_and_grad, reconstruct)
 from ssdiffmri.tensorio import generate_phantom, generate_sensitivities
@@ -34,13 +33,6 @@ def make_fixture(rows=32, coils=1, R=4.0, seed=0, n=4):
         slices.append(SliceData(i, forward_op(ph, sens, om.sampled), om))
         phantoms.append(ph)
     return sens, slices, phantoms
-
-
-class TestChannels:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
-        np.testing.assert_array_equal(channels_to_complex(complex_to_channels(x)), x)
 
 
 class TestTrainConfig:
@@ -309,7 +301,7 @@ class TestTrainStep:
             state = den.state
 
             def forward(self, y_t, t_frac, cond, keep_cache=False):
-                return complex_to_channels(np.stack(phantoms[:y_t.shape[0]]))
+                return np.stack(phantoms[:y_t.shape[0]]).astype(np.complex128)
 
             def backward(self, upstream):
                 return np.zeros_like(upstream)
@@ -337,7 +329,7 @@ class TestTrainStep:
 
         def run(data):
             den, disc = build_models(cfg)
-            rec = Recorder(den.spec, seed=cfg.seed, dtype=np.float64)
+            rec = Recorder(cfg.hidden, seed=cfg.seed, dtype=np.float64)
             rec.state = den.state
             rec.convs = den.convs
             rec.relus = den.relus
@@ -470,7 +462,7 @@ class TestTrainStep:
         layers = (*den.convs, *den.relus, *disc.convs, *disc.relus, *disc.bns, disc)
         assert all(layer._cache is None for layer in layers)
         with pytest.raises(RuntimeError, match="without cached forward"):
-            den.backward(np.zeros((2, 32, 32, 2)))
+            den.backward(np.zeros((2, 32, 32), complex))
 
     def test_step_leaves_no_memory_behind(self):
         sens, slices, _ = make_fixture(coils=2, n=2)
@@ -582,7 +574,7 @@ class _TruthOracle:
         self.truth = truth
 
     def forward(self, y_t, t_frac, cond, keep_cache=False):
-        return complex_to_channels(self.truth[None]).repeat(y_t.shape[0], axis=0)
+        return self.truth[None].astype(np.complex128).repeat(y_t.shape[0], axis=0)
 
 
 class TestReconstruct:
@@ -718,7 +710,7 @@ class TestReconstruct:
                 out = super().forward(y_t, t_frac, cond)
                 self.calls += 1
                 if self.calls == 2:
-                    out[0, 3, 4, part] = np.nan   # channel 1: imaginary part
+                    (out.real, out.imag)[part][0, 3, 4] = np.nan
                 return out
 
         with pytest.raises(FloatingPointError, match="non-finite reconstruction"):
