@@ -12,11 +12,17 @@ complex ``dL/dRe + i dL/dIm``. Inside, an image is two channels (real,
 imag), its float64 parts cast to the net's dtype; that layout is private
 to this module.
 
-A cache lives from a caching forward until the net's ``release_caches``,
-which ``Trainer.train_step`` calls for both nets at the end of every step,
-whether it completes or is rolled back. Within that span ``backward`` may
-run any number of times; after it, ``backward`` raises until the next
-caching forward.
+A cache lives from a caching forward until the net's ``release_caches``.
+``Trainer.train_step`` calls it for both nets at the end of every step,
+whether it completes or is rolled back, and for the discriminator as soon
+as the generator's adversarial gradient is formed, its caches' last
+reader, so they are gone before the recon loss and the denoiser's
+backward; ``penalty_param_grads`` drops its own when it returns. Within
+that span ``backward`` may run any number of times; after it, ``backward``
+raises until the next caching forward. The denoiser keeps no ReLU mask:
+each ReLU's output is the next conv's cached input, and ``output > 0`` is
+``pre-activation > 0`` (for zeros, -0.0 and NaN too). The discriminator
+keeps its ReLU masks, because a batch norm reads those outputs.
 
 Activations are channels-last (batch, rows, cols, channels); that keeps the
 im2col gather contiguous. A conv caches its zero-padded input, not the
@@ -52,8 +58,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # fraction and the conditioning (real, imag); the discriminator the sample and
 # the conditioning
 _DENOISER_IN, _DISC_IN = 5, 4
-# bytes of im2col a conv forms at a time: one core's L2 on a desk machine
-_BLOCK_BYTES = 2 << 20
+# bytes of im2col a conv forms at a time. Both the kept block and what
+# OpenBLAS packs for its GEMM grow with it: with 2 threads, a first
+# (rows, 216) @ (216, 24) float32 GEMM added 2.4 MB of resident memory on a
+# 2 MiB operand and 0.86 MB on a 512 KiB one. A sweep over 256 KiB-2 MiB
+# on 2 cores left 512 KiB without a time cost; 256 KiB slowed a desk
+# reconstruction by a quarter.
+_BLOCK_BYTES = 512 << 10
 # the buffer `_im2col_blocks` forms its blocks in, one per thread
 _scratch = threading.local()
 
@@ -177,9 +188,10 @@ def _im2col_blocks(xp):
 
     Every block is a view of one buffer per thread, kept between calls and
     valid until the next block is yielded. A new array per block kept two
-    blocks alive at each switch: a desk reconstruction's temporaries
-    peaked at 5.1 MB instead of 1.7 MB, and under glibc's default malloc
-    thresholds it faulted 8400 pages back in, about half its time.
+    blocks alive at each switch: a desk reconstruction's traced temporaries
+    peaked at 2.5 MB instead of 1.7 MB (5.0 MB with 2 MiB blocks), and with
+    2 MiB blocks, under glibc's default malloc thresholds, it faulted 8400
+    pages back in, about half its time.
     """
     B, Hp, Wp, C = xp.shape
     H, W = Hp - 2, Wp - 2
@@ -215,8 +227,8 @@ class _Conv3x3:
     input, not its im2col, which is nine times larger. The forward pass
     forms the input's im2col; the backward pass forms the output gradient's
     and, for a widening layer's weight gradient, the input's again. Both
-    run in blocks that fit a core's L2 (`_im2col_blocks`), with one GEMM
-    per block for each product.
+    run in blocks of at most `_BLOCK_BYTES` (`_im2col_blocks`), with one
+    GEMM per block for each product.
     """
 
     def __init__(self, state, name, cin, cout, rng):
@@ -288,7 +300,9 @@ class _Conv3x3:
 
 
 class _ReLU:
-    """In place: its input is a conv's output, which nothing else reads."""
+    """The discriminator's ReLU, in place: its input is a conv's output,
+    which nothing else reads. It keeps its mask because a batch norm, not
+    a conv, reads its output."""
 
     def __init__(self):
         self._cache = None  # the mask x > 0
@@ -374,7 +388,8 @@ def _sigmoid(z):
 
 class Denoiser:
     """Residual stack of five 3x3 convolutions, `hidden` channels between
-    them, with ReLUs, predicting the clean image."""
+    them, with ReLUs, predicting the clean image. A ReLU's mask is read
+    from the next conv's cached input, so only the convs cache."""
 
     def __init__(self, hidden, seed=0, dtype=np.float64):
         self.dtype = dtype
@@ -384,7 +399,6 @@ class Denoiser:
         self.state = ModelState(sum(_conv_size(*p) for p in pairs), dtype)
         self.convs = [_Conv3x3(self.state, f"conv{i}", cin, cout, rng)
                       for i, (cin, cout) in enumerate(pairs)]
-        self.relus = [_ReLU() for _ in range(len(self.convs) - 1)]
         self._cached = False
 
     def forward(self, y_t, t_frac, cond, keep_cache=False):
@@ -400,10 +414,10 @@ class Denoiser:
         t_frac = np.asarray(t_frac, dtype=self.dtype).reshape(B, 1, 1, 1)
         tchan = np.broadcast_to(t_frac, (B, H, W, 1))
         h = np.concatenate([y, tchan, _channels(cond, self.dtype)], axis=-1)
-        for i, conv in enumerate(self.convs):
+        for conv in self.convs[:-1]:
             h = conv.forward(h, keep_cache)
-            if i < len(self.relus):
-                h = self.relus[i].forward(h, keep_cache)
+            np.maximum(h, 0.0, out=h)  # ReLU, in place: the next conv caches its output
+        h = self.convs[-1].forward(h, keep_cache)
         self._cached = keep_cache
         return _complex(h + y)
 
@@ -415,15 +429,16 @@ class Denoiser:
             raise RuntimeError("denoiser backward without cached forward")
         g = _channels(upstream, self.dtype)
         for i in reversed(range(len(self.convs))):
-            if i < len(self.relus):
-                g = self.relus[i].backward(g)
+            if i + 1 < len(self.convs):
+                # the ReLU's mask: its output, which the next conv cached padded
+                g = g * (self.convs[i + 1]._cache[:, 1:-1, 1:-1] > 0)
             g = self.convs[i].backward(g, input_grad=i > 0)
 
     def release_caches(self):
-        """Drop every layer's activations; `backward` raises until the next
+        """Drop every conv's cached input; `backward` raises until the next
         caching forward."""
-        for layer in (*self.convs, *self.relus):
-            layer._cache = None
+        for conv in self.convs:
+            conv._cache = None
         self._cached = False
 
 
@@ -531,7 +546,7 @@ class Discriminator:
                 self._score(np.asarray(s + sgn * bump, self.dtype), c, train=True,
                             update_running=False)
                 self.backward(np.full(len(sample), sgn * coeff, dtype=self.dtype))
-        self._cache = None
+        self.release_caches()
         return sq_norms
 
 

@@ -333,6 +333,7 @@ class Trainer:
         l_g = gen_loss(d_fake)
         g_adv = self.disc.backward(-cfg.adv_weight / (B * np.clip(d_fake, 1e-12, None)),
                                    accumulate=False)
+        self.disc.release_caches()  # its last reader: free them before the denoiser's backward
         l_rec, g_rec = recon_loss_and_grad(y0_pred, kspace, sens, draws.loss_cols,
                                            draws.t, sched)
         _, w_y0, denom, _ = posterior_coefficients(draws.t + cfg.stride_k, draws.t, sched)

@@ -317,7 +317,6 @@ def test_criterion_7_information_hiding():
         rec = Recorder(cfg.hidden, seed=cfg.seed, dtype=np.float64)
         rec.state = den.state
         rec.convs = den.convs
-        rec.relus = den.relus
         trainer = Trainer(rec, disc, sens, cfg)
         return trainer.train_step([SliceData(0, ks, om)])
 

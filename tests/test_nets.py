@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from ssdiffmri import tensorio
+from ssdiffmri import nets, tensorio
 from ssdiffmri.losses import disc_loss, gen_loss
-from ssdiffmri.nets import (BN_EPS, Denoiser, Discriminator, ModelState, _BatchNorm,
-                            _channel_sum, _Conv3x3, _im2col_blocks, _pad, adam_step,
-                            load_checkpoint, load_state, save_checkpoint, save_state)
+from ssdiffmri.nets import (_BLOCK_BYTES, BN_EPS, Denoiser, Discriminator, ModelState,
+                            _BatchNorm, _channel_sum, _channels, _Conv3x3, _im2col_blocks,
+                            _pad, adam_step, load_checkpoint, load_state, save_checkpoint,
+                            save_state)
 
 
 def cplx(x):
@@ -29,6 +30,23 @@ def fd_param_check(state, loss_fn, grads, rng, n_probe=20, h=1e-6):
         fd = (lp - lm) / (2 * h)
         errs.append(abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-8))
     return max(errs)
+
+
+def held_arrays(obj):
+    """Every array reachable from a net object through its attributes, lists,
+    tuples and dicts, other than the views of its ModelState."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif isinstance(obj, dict):
+        yield from held_arrays(list(obj.values()))
+    elif type(obj).__module__ == nets.__name__ and not isinstance(obj, ModelState):
+        state = getattr(obj, "state", None)
+        flat = () if state is None else (state.params, state.grads)
+        yield from (a for a in held_arrays(list(vars(obj).values()))
+                    if not any(np.shares_memory(a, f) for f in flat))
 
 
 def input_grad(disc, sample, cond, train=False):
@@ -171,6 +189,63 @@ class TestDenoiser:
     def test_backward_without_forward_raises(self, tiny_denoiser):
         with pytest.raises(RuntimeError):
             tiny_denoiser.backward(np.zeros((1, 8, 8), complex))
+
+    def test_holds_only_the_convs_padded_inputs(self, tiny_denoiser):
+        # the ReLUs keep no mask: the next conv's cached input is the mask
+        rng = np.random.default_rng(27)
+        den = tiny_denoiser
+        y = cplx(rng.standard_normal((2, 8, 9, 2)))
+        den.forward(y, np.array([0.2, 0.6]), np.zeros_like(y), keep_cache=True)
+        held = list(held_arrays(den))
+        assert sorted(map(id, held)) == sorted(id(conv._cache) for conv in den.convs)
+        assert [conv._cache.shape for conv in den.convs] == [
+            (2, 10, 11, conv.cin) for conv in den.convs]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_is_masked_by_the_pre_activation(self, dtype):
+        """The parameter gradient has the bytes of a reference that keeps each
+        ReLU's pre-activations and masks by ``pre > 0``. Channel 0 of every
+        hidden conv has zero weights and bias, so its pre-activations are
+        exact zeros; channel 1 too, with its output negated into -0.0."""
+        rng = np.random.default_rng(28)
+        den = Denoiser(6, seed=3, dtype=dtype)
+        for conv in den.convs[:-1]:
+            conv.w[:, :2] = 0.0
+            conv.b[:2] = 0.0
+
+            def negate_channel_1(x, keep_cache, forward=conv.forward):
+                out = forward(x, keep_cache)
+                out[..., 1] *= -1.0
+                return out
+
+            conv.forward = negate_channel_1
+        y = cplx(rng.standard_normal((2, 8, 8, 2)))
+        c = cplx(rng.standard_normal((2, 8, 8, 2)))
+        t = np.array([0.3, 0.7])
+        upstream = cplx(rng.standard_normal((2, 8, 8, 2)))
+
+        den.forward(y, t, c, keep_cache=True)
+        den.backward(upstream)
+        got = den.state.grads.copy()
+
+        den.state.zero_grads()
+        tchan = np.broadcast_to(t.astype(dtype).reshape(2, 1, 1, 1), (2, 8, 8, 1))
+        h = np.concatenate([_channels(y, dtype), tchan, _channels(c, dtype)], axis=-1)
+        pres = []
+        for conv in den.convs[:-1]:
+            pres.append(conv.forward(h, keep_cache=True))
+            h = np.maximum(pres[-1], 0.0)
+        den.convs[-1].forward(h, keep_cache=True)
+        assert all(np.all(pre[..., 0] == 0) and not np.any(np.signbit(pre[..., 0]))
+                   for pre in pres)
+        assert all(np.all(pre[..., 1] == 0) and np.all(np.signbit(pre[..., 1]))
+                   for pre in pres)
+        g = _channels(upstream, dtype)
+        for i in reversed(range(len(den.convs))):
+            if i < len(pres):
+                g = g * (pres[i] > 0)
+            g = den.convs[i].backward(g, input_grad=i > 0)
+        assert np.any(got) and got.tobytes() == den.state.grads.tobytes()
 
     def test_channel_mismatch_rejected(self, tiny_denoiser):
         # images go in as (B, H, W) arrays, not as channels
@@ -526,6 +601,20 @@ class TestBlockedConv:
         assert dws[0].tobytes() == dws[1].tobytes()
         want = _ref_im2col(x.astype(np.float64)).T @ g.astype(np.float64).reshape(-1, cout)
         assert _rel_err(dws[1], want) <= rtol
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_the_kept_buffer_fits_the_block_at_the_desk_shapes(self, batch, monkeypatch):
+        # the criterion-6 desk nets at 64x64: a float32 pass forms no
+        # im2col block larger than _BLOCK_BYTES
+        monkeypatch.delattr(nets._scratch, "buf", raising=False)
+        rng = np.random.default_rng(29)
+        for cin, cout in [(5, 24), (24, 24), (24, 2), (4, 10), (10, 10)]:
+            conv = _Conv3x3(ModelState(9 * cin * cout + cout, np.float32), "conv", cin,
+                            cout, rng)
+            x = rng.standard_normal((batch, 64, 64, cin)).astype(np.float32)
+            conv.forward(x, keep_cache=True)
+            conv.backward(rng.standard_normal((batch, 64, 64, cout)).astype(np.float32))
+        assert 0 < nets._scratch.buf.nbytes <= _BLOCK_BYTES
 
     def test_blocks_are_views_of_one_kept_buffer(self):
         # a new array per block, freed after every call, made the allocator
