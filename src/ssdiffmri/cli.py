@@ -8,6 +8,7 @@ range, checked before any output is written), 1 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -171,29 +172,29 @@ def _config_from_dict(values, source, base=None):
         raise RuntimeError(f"{source}: {exc}") from exc
 
 
-def _flag_config(args):
-    """TrainConfig of the command's train flags alone; a value out of range is
-    a usage error naming its flag (TrainConfig's messages start with the field)."""
+def _flag_config(args, names, base=None):
+    """`base` (default TrainConfig()) with the fields `names` set from the
+    command's flags of those names; a value out of range is a usage error
+    naming its flag (TrainConfig's messages start with the field)."""
     try:
-        return TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in
-                                              _TRAIN_FLAGS if name in vars(args)})
+        return dataclasses.replace(base or TrainConfig(),
+                                   **{name: getattr(args, name) for name in names})
     except ValueError as exc:
         flag = "--" + str(exc).split()[0].replace("_", "-")
         raise argparse.ArgumentError(None, f"argument {flag}: {exc}") from exc
 
 
-def _train_config_from_args(args, meta, meta_path):
-    cfg = _flag_config(args)
-    cfg = _config_from_dict({"R": meta["R"]}, meta_path, base=cfg.to_dict())
+def cmd_train(args):
+    meta, manifest, sens, slices = _load_undersampled(args.data)
+    meta_path = os.path.join(args.data, "meta.json")
+    cfg = _config_from_dict({"R": meta["R"]}, meta_path,
+                            base=_flag_config(args, ("seed", *_TRAIN_FLAGS)).to_dict())
     if args.config:
         cfg = _config_from_dict(_parse_file(args.config, json.loads), args.config,
                                 base=cfg.to_dict())
-    return cfg
-
-
-def cmd_train(args):
-    meta, manifest, sens, slices = _load_undersampled(args.data)
-    cfg = _train_config_from_args(args, meta, os.path.join(args.data, "meta.json"))
+        if cfg.R != meta["R"]:  # the data were sampled at one R
+            raise RuntimeError(f"{args.config}: R {cfg.R!r} differs from the data's "
+                               f"R {meta['R']!r} in {meta_path}")
     den, disc = build_models(cfg)
     if args.resume:
         load_checkpoint(args.resume, den.state, disc.state)
@@ -233,10 +234,7 @@ def cmd_recon(args):
     den, disc = build_models(cfg)
     load_checkpoint(os.path.join(args.run, "checkpoints", "final"), den.state, disc.state)
     if args.t_start:
-        try:
-            cfg = TrainConfig(**{**cfg.to_dict(), "t_start": args.t_start})
-        except ValueError as exc:
-            raise argparse.ArgumentError(None, f"argument --t-start: {exc}") from exc
+        cfg = _flag_config(args, ("t_start",), base=cfg)
     out = _out_dir(args.out, "recon_out", "recons", force=args.force)
     sched = make_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     for item in slices:
@@ -372,7 +370,7 @@ def cmd_sweep(args):
     per-slice metrics into one CSV mirroring the split-ratio figure axes."""
     _check_distinct(args.R_grid, "--R-grid")
     _check_distinct(args.rho_grid, "--rho-grid")
-    _flag_config(args)
+    _flag_config(args, ("seed", *_TRAIN_FLAGS[1:]))
     manifest, sens = _load_dataset(args.data)
     _check_R(manifest.cols, args.R_grid, args.center_fraction, "--R-grid")
     out = _out_dir(args.out, "sweep_out", force=args.force)

@@ -112,8 +112,6 @@ def add_measurement_noise(y, std, seed=0):
     """Add complex Gaussian noise with per-component standard deviation `std`."""
     if std < 0:
         raise ValueError("noise std must be >= 0")
-    if std == 0:
-        return np.asarray(y, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     y = np.asarray(y, dtype=np.complex128)
     noise = rng.normal(scale=std, size=y.shape) + 1j * rng.normal(scale=std, size=y.shape)

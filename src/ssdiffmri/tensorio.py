@@ -25,19 +25,8 @@ FORMAT_VERSION = 1
 
 
 class CkspError(Exception):
-    """Base error for the CKSP tensor container."""
-
-
-class BadMagicError(CkspError):
-    """File does not start with the CKSP magic bytes."""
-
-
-class TruncatedFileError(CkspError):
-    """Header or payload ends before the declared length."""
-
-
-class PayloadMismatchError(CkspError):
-    """Payload byte count disagrees with the header shape."""
+    """A CKSP tensor file that cannot be written or read, or is not a
+    well-formed tensor; the message names the file."""
 
 
 def write_tensor(t, path):
@@ -77,10 +66,10 @@ def read_tensor(path):
         raise CkspError(f"cannot read tensor from {path!r}: {exc}") from exc
 
     if len(raw) < 8 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path!r} is not a CKSP file")
+        raise CkspError(f"{path!r} is not a CKSP file")
     (header_len,) = struct.unpack("<I", raw[4:8])
     if len(raw) < 8 + header_len:
-        raise TruncatedFileError(f"{path!r}: header truncated")
+        raise CkspError(f"{path!r}: header truncated")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -96,11 +85,11 @@ def read_tensor(path):
     expected = math.prod(shape) * 8
     payload = raw[8 + header_len :]
     if len(payload) < expected:
-        raise TruncatedFileError(
+        raise CkspError(
             f"{path!r}: payload has {len(payload)} bytes, header needs {expected}"
         )
     if len(payload) != expected:
-        raise PayloadMismatchError(
+        raise CkspError(
             f"{path!r}: payload has {len(payload)} bytes, header shape {shape} "
             f"needs exactly {expected}"
         )

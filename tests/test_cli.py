@@ -2,16 +2,20 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from ssdiffmri import cli, pipeline, tensorio
-from ssdiffmri.cli import _train_config_from_args, build_parser, run
+from ssdiffmri.cli import _TRAIN_FLAGS, _flag_config, build_parser, run
 from ssdiffmri.losses import LossReport
-from ssdiffmri.nets import Denoiser
-from ssdiffmri.pipeline import TrainConfig
+from ssdiffmri.nets import Denoiser, load_checkpoint
+from ssdiffmri.pipeline import TrainConfig, build_models
 
 
 def invoke(*argv):
@@ -193,7 +197,7 @@ class TestTrain:
 
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--data", "d"])
-        cfg = _train_config_from_args(args, {"R": TrainConfig.R}, "meta.json")
+        cfg = _flag_config(args, ("seed", *_TRAIN_FLAGS))
         assert cfg == TrainConfig()
 
     def test_rho_out_of_range_usage(self, undersampled, tmp_path):
@@ -449,6 +453,17 @@ class TestBadInput:
                       "--out", str(tmp_path / "r"), "--max-steps", "1") == 1
         err = capsys.readouterr().err
         assert "bogus_knob" in err and "overrides.json" in err
+
+    def test_config_r_other_than_the_data_exits_1_before_output(self, undersampled,
+                                                                tmp_path, capsys):
+        # the data were sampled at meta.json's R, so a run cannot record another
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"R": 8}))
+        assert invoke("train", "--data", str(undersampled), "--config", str(path),
+                      "--out", str(tmp_path / "r"), "--max-steps", "1") == 1
+        err = capsys.readouterr().err
+        assert "overrides.json: R 8 differs from the data's R 4.0" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("target,edit", [
         ("meta.json", lambda d: d.pop("dataset")),
@@ -818,3 +833,82 @@ class TestSweep:
         with open(out / "summary.json") as f:
             summary = json.load(f)
         assert set(summary) == {"R2_rho0.3", "R2_rho0.7"}
+
+
+# `train` in a child process with a pause before every training step
+# ("step") or before every checkpoint file ("save"), so that a kill lands
+# between steps or while a checkpoint's <tag>.tmp directory is being written
+_PAUSED_TRAIN = """
+import sys, time
+from ssdiffmri import cli, pipeline, tensorio
+
+def paused(func, seconds):
+    def call(*args, **kwargs):
+        time.sleep(seconds)
+        return func(*args, **kwargs)
+    return call
+
+if sys.argv[1] == "step":
+    pipeline.Trainer.train_step = paused(pipeline.Trainer.train_step, 0.3)
+else:
+    tensorio.write_tensor = paused(tensorio.write_tensor, 0.005)
+sys.exit(cli.run(sys.argv[2:]))
+"""
+
+
+class TestKilledTrain:
+    """A `train` killed at any moment leaves only complete checkpoints, and a
+    resume from the newest reaches the uninterrupted run's bytes."""
+
+    FLAGS = ("--max-steps", "4", "--hidden", "4", "--disc-width", "2",
+             "--batch-size", "2", "--seed", "5")
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("killed")
+        assert invoke("phantom", "--n", "6", "--size", "16", "--coils", "2",
+                      "--out", str(d / "ph")) == 0
+        assert invoke("undersample", "--data", str(d / "ph"), "--out", str(d / "us")) == 0
+        (d / "every.json").write_text(json.dumps({"checkpoint_every": 1}))
+        assert invoke("train", "--data", str(d / "us"), "--config", str(d / "every.json"),
+                      *self.FLAGS, "--out", str(d / "ref")) == 0
+        return d
+
+    @pytest.mark.parametrize("pause,window,left", [
+        ("step", "step_000002", ["step_000001", "step_000002"]),
+        ("save", "step_000002.tmp", ["step_000001", "step_000002.tmp"]),
+    ], ids=["between-steps", "during-save"])
+    def test_resume_after_sigkill_matches_the_uninterrupted_run(self, small, tmp_path,
+                                                                pause, window, left):
+        argv = ["train", "--data", str(small / "us"), "--config", str(small / "every.json"),
+                *self.FLAGS]
+        checkpoints = tmp_path / "killed" / "checkpoints"
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+        with open(tmp_path / "stderr", "w") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-c", _PAUSED_TRAIN, pause, *argv,
+                 "--out", str(tmp_path / "killed")],
+                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            deadline = time.monotonic() + 20
+            while not (checkpoints / window).exists():
+                assert child.poll() is None, (tmp_path / "stderr").read_text()
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+        finally:
+            child.kill()  # SIGKILL
+            child.wait(timeout=10)
+        assert child.returncode == -signal.SIGKILL
+        assert sorted(os.listdir(checkpoints)) == left
+        steps = [tag for tag in left if not tag.endswith(".tmp")]
+        for tag in steps:
+            den, disc = build_models(TrainConfig(hidden=4, disc_width=2))
+            load_checkpoint(checkpoints / tag, den.state, disc.state)
+            assert den.state.step == int(tag[len("step_"):])
+            assert_same_checkpoint(checkpoints / tag, small / "ref" / "checkpoints" / tag)
+        resumed = tmp_path / "resumed"
+        assert invoke(*argv, "--resume", str(checkpoints / steps[-1]),
+                      "--out", str(resumed)) == 0
+        assert_same_checkpoint(small / "ref" / "checkpoints" / "final",
+                               resumed / "checkpoints" / "final")

@@ -14,6 +14,22 @@ def _rand_image(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def worst_adjoint_gap(rng):
+    """Largest |<y, A x> - <A^H y, x>| / (|x| |y|) of `forward_op` and
+    `adjoint_op` over 100 draws of 4 coils, 64x64 images and R=4 masks:
+    acceptance criterion 1's draws."""
+    worst = 0.0
+    for trial in range(100):
+        sens = generate_sensitivities(4, 64, 64, seed=trial)
+        cols = make_random_mask(64, 4, 0.04, seed=trial).sampled
+        x = _rand_image(rng, 64, 64)
+        y = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))
+        gap = abs(np.vdot(y, forward_op(x, sens, cols))
+                  - np.vdot(adjoint_op(y, sens, cols), x))
+        worst = max(worst, gap / (np.linalg.norm(x) * np.linalg.norm(y)))
+    return worst
+
+
 def _dft2_reference(x):
     """Direct O(N^4) centered orthonormal DFT summation, the independent oracle."""
     rows, cols = x.shape
@@ -125,6 +141,11 @@ class TestEncoding:
             rhs = np.vdot(zero_filled(y, op), x)
             worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y)))
         assert worst < 1e-6
+
+    def test_adjoint_gap_is_float64_rounding(self):
+        # criterion 1's draws; through encode's complex64 rounding the gap
+        # reads 1.98e-10, which would hide an operator error below about 1e-9
+        assert worst_adjoint_gap(np.random.default_rng(101)) <= 1e-14
 
     def test_linearity(self, operator):
         rng = np.random.default_rng(6)

@@ -12,10 +12,8 @@ from hypothesis.extra import numpy as hnp
 from ssdiffmri import tensorio
 from ssdiffmri.kspace import EncodingOperator, encode
 from ssdiffmri.masks import make_random_mask
-from ssdiffmri.tensorio import (BadMagicError, CkspError, DatasetManifest,
-                                PayloadMismatchError, TruncatedFileError,
-                                generate_phantom, generate_sensitivities,
-                                read_tensor, write_tensor)
+from ssdiffmri.tensorio import (CkspError, DatasetManifest, generate_phantom,
+                                generate_sensitivities, read_tensor, write_tensor)
 
 
 def _random_tensor(rng, shape):
@@ -64,7 +62,7 @@ class TestFileFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cksp"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CkspError, match=r"bad\.cksp.* is not a CKSP file$"):
             read_tensor(path)
 
     def test_payload_mismatch(self, tmp_path):
@@ -75,7 +73,7 @@ class TestFileFormat:
         payload = np.zeros(3, dtype="<c8").tobytes()
         path = tmp_path / "short.cksp"
         path.write_bytes(b"CKSP" + struct.pack("<I", len(header)) + header + payload)
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(CkspError, match="payload has 24 bytes, header needs 32$"):
             read_tensor(path)
 
     def test_payload_too_long(self, tmp_path):
@@ -85,7 +83,8 @@ class TestFileFormat:
         payload = np.zeros(5, dtype="<c8").tobytes()
         path = tmp_path / "long.cksp"
         path.write_bytes(b"CKSP" + struct.pack("<I", len(header)) + header + payload)
-        with pytest.raises(PayloadMismatchError):
+        with pytest.raises(CkspError, match=r"payload has 40 bytes, header shape "
+                                            r"\(2, 2\) needs exactly 32$"):
             read_tensor(path)
 
     def test_nonfinite_rejected(self, tmp_path):
